@@ -24,11 +24,10 @@ read from it — so it has three hard requirements:
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.util.cache import BoundedCache
 
 __all__ = ["ArmStats", "MeasurementStore"]
 
@@ -114,8 +113,10 @@ class ArmStats:
 class MeasurementStore:
     """Bounded two-level map ``signature key -> arm id -> ArmStats``.
 
-    Thread-safe: the serve worker pool records measurements concurrently
-    while the router thread snapshots for metrics/merges.
+    Both levels are :class:`~repro.util.cache.BoundedCache` LRUs.  The
+    outer cache's lock is held across each compound update, because the
+    serve worker pool records measurements concurrently while the router
+    thread snapshots for metrics/merges.
     """
 
     def __init__(self, max_signatures: int = 256, max_arms: int = 16):
@@ -127,54 +128,43 @@ class MeasurementStore:
             )
         self.max_signatures = int(max_signatures)
         self.max_arms = int(max_arms)
-        self._entries: OrderedDict[str, OrderedDict[str, ArmStats]] = (
-            OrderedDict()
+        self._entries: BoundedCache[str, BoundedCache[str, ArmStats]] = (
+            BoundedCache(self.max_signatures)
         )
-        self._lock = threading.RLock()
+        self._lock = self._entries.lock
         self.total_samples = 0
-        self.evicted_signatures = 0
+
+    evicted_signatures = property(lambda self: self._entries.evictions)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def signatures(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
+        return self._entries.keys()
+
+    def _arms(self, sig_key: str) -> BoundedCache[str, ArmStats]:
+        return self._entries.get_or_put(
+            sig_key, lambda: BoundedCache(self.max_arms)
+        )
 
     def observe(self, sig_key: str, arm_id: str, seconds: float) -> ArmStats:
         """Record one sample; creates signature/arm entries as needed."""
         with self._lock:
-            arms = self._entries.get(sig_key)
-            if arms is None:
-                arms = OrderedDict()
-                self._entries[sig_key] = arms
-            self._entries.move_to_end(sig_key)
-            stats = arms.get(arm_id)
-            if stats is None:
-                stats = ArmStats()
-                arms[arm_id] = stats
-            arms.move_to_end(arm_id)
+            stats = self._arms(sig_key).get_or_put(arm_id, ArmStats)
             before = stats.count
             stats.observe(seconds)
             self.total_samples += stats.count - before
-            while len(arms) > self.max_arms:
-                arms.popitem(last=False)
-            while len(self._entries) > self.max_signatures:
-                self._entries.popitem(last=False)
-                self.evicted_signatures += 1
             return stats
 
     def arms(self, sig_key: str) -> dict[str, ArmStats]:
         """Snapshot of the arm stats for one signature (copies the map,
         shares the mutable :class:`ArmStats` — callers only read)."""
-        with self._lock:
-            return dict(self._entries.get(sig_key, {}))
+        arms = self._entries.peek(sig_key)
+        return {} if arms is None else dict(arms.items())
 
     def stats_for(self, sig_key: str, arm_id: str) -> ArmStats | None:
-        with self._lock:
-            arms = self._entries.get(sig_key)
-            return None if arms is None else arms.get(arm_id)
+        arms = self._entries.peek(sig_key)
+        return None if arms is None else arms.peek(arm_id)
 
     def trials(self, sig_key: str, arm_id: str) -> int:
         stats = self.stats_for(sig_key, arm_id)
@@ -182,40 +172,38 @@ class MeasurementStore:
 
     # -- merge / persistence -------------------------------------------
 
+    def _snapshot(self) -> list[tuple[str, dict[str, dict]]]:
+        """``(signature, {arm: stats JSON})`` pairs, least recently used
+        first, serialized under the lock (the stats are mutable)."""
+        with self._lock:
+            return [
+                (sig, {arm: s.to_json() for arm, s in arms.items()})
+                for sig, arms in self._entries.items()
+            ]
+
     def merge(self, other: "MeasurementStore") -> None:
         """Fold another store in (associative on the running moments)."""
-        with other._lock:
-            snapshot = [
-                (sig, [(arm, s.to_json()) for arm, s in arms.items()])
-                for sig, arms in other._entries.items()
-            ]
+        snapshot = other._snapshot()
         with self._lock:
-            for sig, arms in snapshot:
-                mine = self._entries.setdefault(sig, OrderedDict())
-                for arm_id, doc in arms:
+            for sig, docs in snapshot:
+                mine = self._entries.peek(sig)
+                if mine is None:
+                    mine = self._entries.put(sig, BoundedCache(self.max_arms))
+                for arm_id, doc in docs.items():
                     incoming = ArmStats.from_json(doc)
-                    stats = mine.get(arm_id)
+                    stats = mine.peek(arm_id)
                     if stats is None:
-                        mine[arm_id] = incoming
+                        mine.put(arm_id, incoming)
                     else:
                         stats.merge(incoming)
                     self.total_samples += incoming.count
-                while len(mine) > self.max_arms:
-                    mine.popitem(last=False)
-            while len(self._entries) > self.max_signatures:
-                self._entries.popitem(last=False)
-                self.evicted_signatures += 1
 
     def to_json(self) -> dict:
-        with self._lock:
-            return {
-                "max_signatures": self.max_signatures,
-                "max_arms": self.max_arms,
-                "signatures": {
-                    sig: {arm: s.to_json() for arm, s in arms.items()}
-                    for sig, arms in self._entries.items()
-                },
-            }
+        return {
+            "max_signatures": self.max_signatures,
+            "max_arms": self.max_arms,
+            "signatures": dict(self._snapshot()),
+        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "MeasurementStore":
@@ -227,10 +215,7 @@ class MeasurementStore:
             for arm_id, stats_doc in arms.items():
                 stats = ArmStats.from_json(stats_doc)
                 if stats.count > 0:
-                    entry = store._entries.setdefault(
-                        str(sig), OrderedDict()
-                    )
-                    entry[str(arm_id)] = stats
+                    store._arms(str(sig)).put(str(arm_id), stats)
                     store.total_samples += stats.count
         return store
 

@@ -35,10 +35,7 @@ inputs compute once per batch.
 from __future__ import annotations
 
 import hashlib
-import re
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -48,13 +45,14 @@ from repro.core.contraction import contract
 from repro.errors import PlanError, WorkspaceLimitError
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.network.dataflow import PlanGraph, canonical_pattern
-from repro.network.ir import OperandMeta, TensorNetwork
+from repro.network.ir import TensorNetwork
 from repro.network.optimize import build_plan, resolve_optimizer
 from repro.network.passes import PassContext, resolve_pipeline
 from repro.network.plan import NetworkPlan, NetworkSignature
 from repro.runtime.executor import ContractionRuntime
 from repro.tensors.coo import COOTensor
 from repro.tensors.linearize import ModeLinearizer
+from repro.util.cache import BoundedCache
 from repro.util.groups import segment_sum
 
 __all__ = [
@@ -73,37 +71,6 @@ __all__ = [
 #: Refuse outer products that would materialize more candidate nonzeros
 #: than this (mirrors the kernel's task/workspace guards).
 OUTER_PRODUCT_LIMIT = 1 << 26
-
-#: The ``|n<nnz,...>|`` segment of a network signature key.
-_NET_NNZ_SEGMENT = re.compile(r"\|n([\d,]*)\|")
-
-
-def _mask_net_nnz(key: str) -> str:
-    """A network signature key with the nnz segment wildcarded.
-
-    Equal masks = same subscripts, shapes, machine, optimizer, and
-    pipeline at possibly different nonzero counts — the candidate
-    relation for drift-tolerant plan reuse.
-    """
-    return _NET_NNZ_SEGMENT.sub("|n*|", key, count=1)
-
-
-def _net_key_nnz(key: str) -> tuple[int, ...] | None:
-    """Parse the per-operand nnz tuple out of a network signature key."""
-    match = _NET_NNZ_SEGMENT.search(key)
-    if match is None or not match.group(1):
-        return None
-    return tuple(int(n) for n in match.group(1).split(","))
-
-
-def _net_relative_drift(a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    """Max per-operand relative nnz change between two keys."""
-    if len(a) != len(b):
-        return float("inf")
-    return max(
-        (abs(x - y) / max(y, 1) for x, y in zip(a, b)), default=0.0
-    )
-
 
 def sum_out_modes(tensor: COOTensor, modes: Sequence[int]) -> COOTensor:
     """Sum a tensor over the given modes (marginalization)."""
@@ -214,7 +181,7 @@ class _DigestMemo:
         return d
 
 
-class StepResultCache:
+class StepResultCache(BoundedCache[tuple, COOTensor]):
     """Digest-keyed step-result memo for cross-request CSE.
 
     The serve micro-batcher creates one per drained batch and threads it
@@ -223,44 +190,11 @@ class StepResultCache:
     request in the batch reuses that result outright.  Keys are content
     digests, so reuse is sound across requests regardless of plan or
     operand identity; values are immutable COO results shared by
-    reference.  Thread-safe; bounded LRU.
+    reference.
     """
 
     def __init__(self, maxsize: int = 64):
-        if maxsize < 1:
-            raise PlanError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict[tuple, COOTensor] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> COOTensor | None:
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return hit
-            self.misses += 1
-            return None
-
-    def put(self, key: tuple, value: COOTensor) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> dict:
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hits / total if total else 0.0,
-            }
+        super().__init__(maxsize)
 
 
 class NetworkExecutor:
@@ -291,15 +225,12 @@ class NetworkExecutor:
         runtime: ContractionRuntime | None = None,
         plan_cache_size: int = 64,
         passes="default",
-        drift_rtol: float | None = 0.25,
         **runtime_kw,
     ):
         if plan_cache_size < 1:
             raise PlanError(
                 f"plan_cache_size must be >= 1, got {plan_cache_size}"
             )
-        if drift_rtol is not None and drift_rtol < 0:
-            raise PlanError(f"drift_rtol must be >= 0, got {drift_rtol}")
         self.machine = machine
         self.runtime = (
             runtime
@@ -308,24 +239,21 @@ class NetworkExecutor:
         )
         self.plan_cache_size = int(plan_cache_size)
         self.pipeline = resolve_pipeline(passes)
-        self.drift_rtol = drift_rtol
-        self._plans: OrderedDict[str, NetworkPlan] = OrderedDict()
-        # Masked structure key -> most recently inserted exact key
-        # (drift-tolerant reuse; see ``plan``).
-        self._plan_structure: dict[str, str] = {}
-        # Shared by the serve worker pool: LRU reorder/evict and the
-        # hit/miss tallies must not interleave across threads.
-        self._plans_lock = threading.Lock()
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_drift_hits = 0
-        self.plan_drift_repriced = 0
-        self.plans_invalidated = 0
+        # Shared by the serve worker pool; drift-tolerant (see ``plan``).
+        self._plans: BoundedCache[str, NetworkPlan] = BoundedCache(
+            self.plan_cache_size
+        )
         self.cse_hits = 0
         self.cse_misses = 0
         self.batch_cse_hits = 0
         self.dead_skips = 0
         self.reports: list[NetworkReport] = []
+
+    plan_hits = property(lambda self: self._plans.hits)
+    plan_misses = property(lambda self: self._plans.misses)
+    plan_drift_hits = property(lambda self: self._plans.drift_hits)
+    plan_drift_repriced = property(lambda self: self._plans.drift_repriced)
+    plans_invalidated = property(lambda self: self._plans.invalidated)
 
     @property
     def pipeline_key(self) -> str:
@@ -363,42 +291,28 @@ class NetworkExecutor:
         """
         network = TensorNetwork.parse(subscripts, operands, nnz=nnz)
         concrete = resolve_optimizer(optimizer, network)
-        key = NetworkSignature.for_network(
+        signature = NetworkSignature.for_network(
             network, self.machine, concrete, pipeline=self.pipeline_key
-        ).key
-        with self._plans_lock:
-            hit = self._plans.get(key)
-            if hit is not None:
-                self._plans.move_to_end(key)
-                self.plan_hits += 1
-                return hit, "cache"
-            # Drift probe: the same network structure cached at nearby
-            # nonzero counts (a streamed operand gained a few entries)
-            # keeps its path; past the tolerance the modeled costs that
-            # chose the path are stale, so it is re-priced from scratch.
-            if self.drift_rtol is not None:
-                candidate = self._plan_structure.get(_mask_net_nnz(key))
-                if candidate is not None and candidate != key:
-                    cached = self._plans.get(candidate)
-                    want = _net_key_nnz(key)
-                    have = _net_key_nnz(candidate)
-                    if cached is not None and want is not None and have is not None:
-                        if _net_relative_drift(want, have) <= self.drift_rtol:
-                            rekeyed = replace(cached, signature_key=key)
-                            self._seed_locked(rekeyed)
-                            self.plan_drift_hits += 1
-                            self.plan_hits += 1
-                            return rekeyed, "cache"
-                        self.plan_drift_repriced += 1
+        )
+        key = signature.key
+        # An exact miss may reuse the same network structure cached at
+        # nearby nonzero counts (a streamed operand gained a few
+        # entries); past the drift tolerance the modeled costs that
+        # chose the path are stale, so it is re-priced from scratch.
+        hit = self._plans.get(key, signature.drift_key)
+        if hit is not None:
+            if hit.signature_key != key:  # drift hit: re-key the plan too
+                hit = self._plans.put(
+                    key, replace(hit, signature_key=key), signature.drift_key
+                )
+            return hit, "cache"
         plan = build_plan(network, self.machine, concrete)
         if self.pipeline is not None:
             context = PassContext(dtypes=self._operand_dtypes(operands))
             plan = self.pipeline.run(plan, network, context=context)
         if plan.signature_key != key:
             plan = replace(plan, signature_key=key)
-        self.seed_plan(plan)
-        with self._plans_lock:
-            self.plan_misses += 1
+        self._plans.put(key, plan, signature.drift_key)
         return plan, "optimizer"
 
     def cached_plan(
@@ -421,29 +335,12 @@ class NetworkExecutor:
         key = NetworkSignature.for_network(
             network, self.machine, concrete, pipeline=self.pipeline_key
         ).key
-        with self._plans_lock:
-            return self._plans.get(key)
+        return self._plans.peek(key)
 
     def seed_plan(self, plan: NetworkPlan) -> None:
         """Insert a pre-built plan into the network-level cache."""
-        with self._plans_lock:
-            self._seed_locked(plan)
-
-    def _seed_locked(self, plan: NetworkPlan) -> None:
-        """Insert under ``_plans_lock``; keeps the structure index in step."""
         key = plan.signature_key
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        self._plan_structure[_mask_net_nnz(key)] = key
-        while len(self._plans) > self.plan_cache_size:
-            victim, _ = self._plans.popitem(last=False)
-            self._drop_structure_locked(victim)
-
-    def _drop_structure_locked(self, key: str) -> None:
-        """Remove ``key``'s structure mapping if it is still the latest."""
-        masked = _mask_net_nnz(key)
-        if self._plan_structure.get(masked) == key:
-            del self._plan_structure[masked]
+        self._plans.put(key, plan, NetworkSignature.split_key(key))
 
     def invalidate_plans(self, predicate=None) -> int:
         """Drop cached network plans; returns how many were removed.
@@ -453,19 +350,7 @@ class NetworkExecutor:
         layer calls this when a tensor's nonzero structure moves far
         enough that even drift-tolerant reuse would mislead.
         """
-        with self._plans_lock:
-            if predicate is None:
-                dropped = len(self._plans)
-                self._plans.clear()
-                self._plan_structure.clear()
-            else:
-                victims = [k for k in self._plans if predicate(k)]
-                for k in victims:
-                    del self._plans[k]
-                    self._drop_structure_locked(k)
-                dropped = len(victims)
-            self.plans_invalidated += dropped
-            return dropped
+        return self._plans.invalidate(predicate)
 
     # -- execution ------------------------------------------------------
 
@@ -775,17 +660,13 @@ class NetworkExecutor:
 
     def metrics(self) -> dict:
         """Network- and pairwise-level cache metrics, JSON-friendly."""
-        with self._plans_lock:
-            hits, misses, cached = (
-                self.plan_hits, self.plan_misses, len(self._plans)
-            )
-        total = hits + misses
+        plans = self._plans.stats()
         cse_total = self.cse_hits + self.cse_misses
         out = {
-            "network_plans_cached": cached,
-            "network_plan_hits": hits,
-            "network_plan_misses": misses,
-            "network_plan_hit_rate": hits / total if total else 0.0,
+            "network_plans_cached": plans["entries"],
+            "network_plan_hits": plans["hits"],
+            "network_plan_misses": plans["misses"],
+            "network_plan_hit_rate": plans["hit_rate"],
             "network_plan_drift_hits": self.plan_drift_hits,
             "network_plan_drift_repriced": self.plan_drift_repriced,
             "network_plans_invalidated": self.plans_invalidated,

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 from repro.errors import PlanError
 from repro.machine.specs import MachineSpec
+from repro.util.cache import DriftKey, split_nnz_segment
 
 __all__ = ["NetworkSignature", "PlanStep", "NetworkPlan"]
 
@@ -69,6 +70,15 @@ class NetworkSignature:
             pipeline=pipeline,
         )
 
+    def _format(self, nnz: str) -> str:
+        shapes = ";".join("x".join(map(str, s)) for s in self.shapes)
+        name, cores, l3, l2, word = self.machine
+        base = (
+            f"E{self.subscripts}|S{shapes}|n{nnz}"
+            f"|M{name};{cores};{l3};{l2};{word}|O{self.optimizer}"
+        )
+        return base + (f"|P{self.pipeline}" if self.pipeline else "")
+
     @property
     def key(self) -> str:
         """Stable string form, usable as a JSON object key.
@@ -77,14 +87,24 @@ class NetworkSignature:
         pipeline, so pre-pipeline keys (and persisted caches) keep their
         historical form.
         """
-        shapes = ";".join("x".join(map(str, s)) for s in self.shapes)
-        nnzs = ",".join(map(str, self.nnzs))
-        name, cores, l3, l2, word = self.machine
-        base = (
-            f"E{self.subscripts}|S{shapes}|n{nnzs}"
-            f"|M{name};{cores};{l3};{l2};{word}|O{self.optimizer}"
-        )
-        return base + (f"|P{self.pipeline}" if self.pipeline else "")
+        return self._format(",".join(map(str, self.nnzs)))
+
+    @property
+    def structure_key(self) -> str:
+        """:attr:`key` with the nnz segment wildcarded: equal for the
+        same network structure at any nonzero counts."""
+        return self._format("*")
+
+    @property
+    def drift_key(self) -> DriftKey:
+        """The plan caches' drift-reuse identity (see :mod:`repro.util.cache`)."""
+        return self.structure_key, tuple(self.nnzs)
+
+    @staticmethod
+    def split_key(key: str) -> DriftKey | None:
+        """Invert :attr:`key` into ``(structure_key, nnzs)``; ``None`` for
+        a string that is not a network signature key."""
+        return split_nnz_segment(key, 2)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,12 @@ from repro.machine.cost_model import (
 )
 from repro.machine.specs import MachineSpec
 
-__all__ = ["CostSample", "CostCalibrator"]
+__all__ = ["CostSample", "CostCalibrator", "MAX_SAMPLES"]
+
+#: How many of the most recent usable samples :meth:`CostCalibrator.observe`
+#: keeps: a long-lived runtime would otherwise pay a growing list and an
+#: ever larger refit on its warm calls.
+MAX_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,9 @@ class CostCalibrator:
     base:
         Starting weights; defaults to the model's hard-coded constants.
     refit_every:
-        Automatic refit cadence: after every N observed samples the
-        calibrated weights are recomputed.  ``fit()`` can always be
-        called explicitly.
+        Automatic refit cadence: after every N observed usable samples
+        the calibrated weights are recomputed over the last
+        :data:`MAX_SAMPLES`.  ``fit()`` can always be called explicitly.
     """
 
     machine: MachineSpec
@@ -90,6 +95,7 @@ class CostCalibrator:
     refit_every: int = 8
     samples: list[CostSample] = field(default_factory=list)
     weights: CostWeights | None = None
+    observed: int = field(default=0, init=False, repr=False)
 
     def observe(
         self,
@@ -118,7 +124,9 @@ class CostCalibrator:
         )
         if sample.usable:
             self.samples.append(sample)
-            if self.refit_every and len(self.samples) % self.refit_every == 0:
+            del self.samples[:-MAX_SAMPLES]
+            self.observed += 1
+            if self.refit_every and self.observed % self.refit_every == 0:
                 self.fit()
         return sample
 

@@ -25,9 +25,7 @@ All reuse is observable through the standard
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,6 +45,7 @@ from repro.runtime.calibrator import CostCalibrator
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.signature import signature_for
 from repro.tensors.coo import COOTensor
+from repro.util.cache import BoundedCache
 
 __all__ = [
     "ContractionRuntime",
@@ -68,108 +67,6 @@ class _OperandEntry:
         self.linearized: dict = {}
         # (lin_key, tile) -> (TiledTables, build_seconds)
         self.tables: dict = {}
-
-
-class _OperandCache:
-    """LRU over recently-seen operand tensors, by identity.
-
-    Keys are ``id(tensor)``; each entry pins a strong reference to its
-    tensor so a recycled address can never alias a dead one.  Hitting
-    requires ``entry.tensor is tensor`` — identity, not equality: COO
-    comparison would cost as much as the linearization being skipped.
-
-    A *pinned* entry (refcounted, see :meth:`pin`/:meth:`unpin`) is
-    exempt from LRU eviction: a prepared network execution pins its
-    hoisted operands so churn from per-step intermediates cannot evict
-    the tables it spent time building.  Pinned entries may carry the
-    cache above ``maxsize``; normal eviction resumes once they unpin.
-    """
-
-    def __init__(self, maxsize: int = 8):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict[int, _OperandEntry] = OrderedDict()
-        self._pins: dict[int, int] = {}
-        # The serve worker pool shares one runtime: LRU reordering and
-        # eviction must not interleave across threads.
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _evict_locked(self) -> None:
-        while len(self._entries) > self.maxsize:
-            victim = next(
-                (k for k in self._entries if not self._pins.get(k)), None
-            )
-            if victim is None:  # everything oversize is pinned
-                break
-            del self._entries[victim]
-
-    def entry(self, tensor: COOTensor) -> _OperandEntry:
-        key = id(tensor)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.tensor is tensor:
-                self._entries.move_to_end(key)
-                return entry
-            entry = _OperandEntry(tensor)
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._evict_locked()
-            return entry
-
-    def pin(self, tensor: COOTensor) -> _OperandEntry:
-        """Fetch (or create) the entry and raise its pin refcount."""
-        key = id(tensor)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.tensor is not tensor:
-                entry = _OperandEntry(tensor)
-                self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._pins[key] = self._pins.get(key, 0) + 1
-            return entry
-
-    def unpin(self, tensor: COOTensor) -> None:
-        """Drop one pin; at refcount zero the entry rejoins normal LRU."""
-        key = id(tensor)
-        with self._lock:
-            count = self._pins.get(key, 0)
-            if count > 1:
-                self._pins[key] = count - 1
-            else:
-                self._pins.pop(key, None)
-                self._evict_locked()
-
-    def pinned_count(self) -> int:
-        with self._lock:
-            return len(self._pins)
-
-    def invalidate(self, tensor: COOTensor) -> bool:
-        """Drop one tensor's cached state, pinned or not.
-
-        The streaming layer calls this when a delta replaces a tensor:
-        the old object's linearized forms and tiled tables describe a
-        snapshot that no longer exists, so keeping them (even pinned)
-        would serve stale reads.  Returns whether an entry was dropped.
-        """
-        key = id(tensor)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.tensor is not tensor:
-                return False
-            del self._entries[key]
-            self._pins.pop(key, None)
-            return True
-
-    def clear(self) -> None:
-        """Drop every entry, pinned or not (explicit maintenance)."""
-        with self._lock:
-            self._entries.clear()
-            self._pins.clear()
 
 
 def _lin_key(role: str, spec: ContractionSpec) -> tuple:
@@ -250,7 +147,14 @@ class ContractionRuntime:
         self.n_workers = int(n_workers)
         self.counters = Counters()
         self.records: list[RunRecord] = []
-        self._operands = _OperandCache(maxsize=operand_cache_size)
+        # Keyed by ``id(tensor)``: each entry holds a strong reference to
+        # its tensor, so a live key's id can never be recycled.  Identity,
+        # not equality — COO comparison would cost as much as the
+        # linearization being skipped.  Pinned entries (a prepared
+        # network's hoisted operands) are exempt from eviction.
+        self._operands: BoundedCache[int, _OperandEntry] = BoundedCache(
+            operand_cache_size
+        )
         # Online autotuner hook; set via OnlineTuner.attach(runtime).
         # When present, default-parameter calls may be routed to a
         # challenger plan and every measured outcome is fed back.
@@ -258,11 +162,14 @@ class ContractionRuntime:
 
     # -- cache-aware pipeline pieces ------------------------------------
 
+    def _operand(self, tensor: COOTensor) -> _OperandEntry:
+        return self._operands.get_or_put(id(tensor), lambda: _OperandEntry(tensor))
+
     def _linearized(
         self, tensor: COOTensor, role: str, spec: ContractionSpec
     ) -> tuple[LinearizedOperand, float]:
         """The deduplicated linearized operand, cached per tensor."""
-        entry = self._operands.entry(tensor)
+        entry = self._operand(tensor)
         key = _lin_key(role, spec)
         hit = entry.linearized.get(key)
         if hit is not None:
@@ -291,7 +198,7 @@ class ContractionRuntime:
         ``seconds_saved`` is the measured construction (plus
         linearization) cost this call skipped.
         """
-        entry = self._operands.entry(tensor)
+        entry = self._operand(tensor)
         key = (_lin_key(role, spec), int(tile))
         hit = entry.tables.get(key)
         if hit is not None:
@@ -490,8 +397,8 @@ class ContractionRuntime:
         )
         spec = ContractionSpec(left.shape, right.shape, pairs)
         if pin:
-            self._operands.pin(left)
-            self._operands.pin(right)
+            self._pin(left)
+            self._pin(right)
         left_op, _ = self._linearized(left, "L", spec)
         right_op, _ = self._linearized(right, "R", spec)
         cached = self.plan_cache.get(sig)
@@ -540,19 +447,22 @@ class ContractionRuntime:
         else:
             spec = ContractionSpec(tuple(other_shape), tensor.shape, pairs)
         if pin:
-            self._operands.pin(tensor)
+            self._pin(tensor)
         self._linearized(tensor, role, spec)
+
+    def _pin(self, tensor: COOTensor) -> None:
+        self._operands.pin(id(tensor), lambda: _OperandEntry(tensor))
 
     def unpin_operand(self, tensor: COOTensor) -> None:
         """Balance one :meth:`prepare_pairwise`/:meth:`prepare_operand`
         pin; at refcount zero the operand rejoins normal LRU."""
-        self._operands.unpin(tensor)
+        self._operands.unpin(id(tensor))
 
     # -- maintenance ----------------------------------------------------
 
     def clear_operand_cache(self) -> None:
         """Drop cached linearizations and tables (plans are kept)."""
-        self._operands.clear()
+        self._operands.invalidate()
 
     def invalidate_operand(self, tensor: COOTensor) -> bool:
         """Drop one tensor's cached linearizations and tiled tables.
@@ -562,7 +472,7 @@ class ContractionRuntime:
         again (pins included — a pinned stale table is still stale).
         Returns whether anything was dropped.
         """
-        return self._operands.invalidate(tensor)
+        return self._operands.invalidate(lambda key: key == id(tensor)) > 0
 
     def flush(self):
         """Persist the plan cache to its configured path, if any."""

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from repro.machine.specs import MachineSpec
 from repro.tensors.coo import COOTensor
+from repro.util.cache import DriftKey, split_nnz_segment
 
 __all__ = ["ProblemSignature", "signature_for"]
 
@@ -37,18 +38,38 @@ class ProblemSignature:
     accumulator: str = "auto"
     tile_size: int | None = None
 
-    @property
-    def key(self) -> str:
-        """Stable string form, usable as a JSON object key."""
+    def _format(self, nnz: str) -> str:
         shape_l = "x".join(map(str, self.left_shape))
         shape_r = "x".join(map(str, self.right_shape))
         pairs = ",".join(f"{a}:{b}" for a, b in self.pairs)
         name, cores, l3, l2, word = self.machine
         return (
-            f"L{shape_l}|R{shape_r}|P{pairs}|n{self.nnz_l},{self.nnz_r}"
+            f"L{shape_l}|R{shape_r}|P{pairs}|n{nnz}"
             f"|M{name};{cores};{l3};{l2};{word}"
             f"|A{self.accumulator}|T{self.tile_size or 0}"
         )
+
+    @property
+    def key(self) -> str:
+        """Stable string form, usable as a JSON object key."""
+        return self._format(f"{self.nnz_l},{self.nnz_r}")
+
+    @property
+    def structure_key(self) -> str:
+        """:attr:`key` with the nnz segment wildcarded: equal for the
+        same structure at any nonzero counts."""
+        return self._format("*")
+
+    @property
+    def drift_key(self) -> DriftKey:
+        """The plan caches' drift-reuse identity (see :mod:`repro.util.cache`)."""
+        return self.structure_key, (self.nnz_l, self.nnz_r)
+
+    @staticmethod
+    def split_key(key: str) -> DriftKey | None:
+        """Invert :attr:`key` into ``(structure_key, nnz)``; ``None`` for a
+        string that is not a signature key."""
+        return split_nnz_segment(key, 3)
 
     @property
     def density_l(self) -> float:

@@ -7,7 +7,62 @@ import pytest
 from repro.autotune.candidates import Candidate
 from repro.autotune.measurements import MeasurementStore
 from repro.autotune.state import AutotuneState, ChampionRecord, PromotionEvent
+from repro.autotune.tuner import OnlineTuner, TunerConfig
 from repro.machine.cost_model import DEFAULT_WEIGHTS
+from repro.machine.specs import DESKTOP
+from repro.runtime import ContractionRuntime
+from repro.runtime.signature import ProblemSignature, _machine_token
+
+V1_KEY = (
+    "L64x16|R16x32|P1:0|n500,100|Mdesktop-i7-11700F;8;16777216;524288;8"
+    "|Aauto|T0"
+)
+
+V1_STATE_FILE = """{
+ "version": 1,
+ "machine": "desktop-i7-11700F",
+ "saved_at": 1792214746.9447138,
+ "weights": null,
+ "store": {
+  "max_signatures": 256,
+  "max_arms": 16,
+  "signatures": {
+   "%(key)s": {
+    "acc=dense": {
+     "count": 1,
+     "mean": 0.01,
+     "m2": 0.0,
+     "best": 0.01,
+     "recent": [
+      0.01
+     ]
+    }
+   }
+  }
+ },
+ "champions": {
+  "%(key)s": {
+   "arm_id": "acc=dense",
+   "candidate": {
+    "arm_id": "acc=dense",
+    "kind": "pairwise",
+    "accumulator": "dense",
+    "tile_size": null,
+    "backend": null,
+    "optimizer": null
+   },
+   "baseline_mean": 0.02,
+   "plan": {
+    "accumulator": "dense",
+    "tile_l": 64,
+    "tile_r": 32,
+    "machine_name": "desktop-i7-11700F"
+   },
+   "prev_plan": null
+  }
+ },
+ "history": []
+}""" % {"key": V1_KEY}
 
 
 def record(arm_id="acc=sparse", baseline=1.0):
@@ -85,6 +140,24 @@ class TestGuards:
         state = AutotuneState("m")
         assert not state.load(path)
         assert "version" in state.load_error
+
+    def test_parent_format_file_loads_and_drift_hits(self, tmp_path):
+        # A version-1 file exactly as earlier releases wrote it; its
+        # champion replays into the plan cache and serves a drifted nnz.
+        path = tmp_path / "state.json"
+        path.write_text(V1_STATE_FILE)
+        runtime = ContractionRuntime(machine=DESKTOP)
+        tuner = OnlineTuner(DESKTOP, TunerConfig(state_path=str(path)))
+        assert tuner.state.load_error is None
+        assert tuner.state.store.trials(V1_KEY, "acc=dense") == 1
+        tuner.attach(runtime)
+        drifted = ProblemSignature(
+            left_shape=(64, 16), right_shape=(16, 32), pairs=((1, 0),),
+            nnz_l=520, nnz_r=110, machine=_machine_token(DESKTOP),
+        )
+        hit = runtime.plan_cache.get(drifted)
+        assert hit is not None and hit.accumulator == "dense"
+        assert runtime.plan_cache.drift_hits == 1
 
 
 class TestMerge:

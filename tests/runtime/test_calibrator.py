@@ -12,7 +12,7 @@ from repro.machine.cost_model import (
 )
 from repro.machine.specs import DESKTOP
 from repro.runtime import ContractionRuntime
-from repro.runtime.calibrator import CostCalibrator, CostSample
+from repro.runtime.calibrator import MAX_SAMPLES, CostCalibrator, CostSample
 
 
 class TestCostWeights:
@@ -177,6 +177,20 @@ class TestSampleHygiene:
             cal.fit()
         assert cal.weights is None
         assert cal.calibrated is cal.base
+
+    def test_window_caps_samples_and_keeps_refit_cadence(self):
+        cal = CostCalibrator(machine=DESKTOP, refit_every=8)
+        refits = []
+        fit = cal.fit
+        cal.fit = lambda: refits.append(cal.observed) or fit()
+        total = MAX_SAMPLES + 3 * 8
+        for k in range(total):
+            self._observe(cal, 1e-3 * (1 + k % 5))
+            self._observe(cal, float("nan"))  # never counts toward a refit
+        assert len(cal.samples) == MAX_SAMPLES
+        assert cal.samples[-1].seconds == pytest.approx(1e-3 * (1 + (total - 1) % 5))
+        assert refits == list(range(8, total + 1, 8))
+        assert cal.weights is not None
 
 
 class TestDegenerateFits:

@@ -213,6 +213,23 @@ class TestWarmStart:
         assert fresh.get(sig(0)) is not None
         assert fresh.get(sig(1)) == live
 
+    def test_load_into_full_cache_evicts_loaded_not_live(self, tmp_path):
+        path = tmp_path / "donor.json"
+        _, plan = make_plan()
+        donor = PlanCache(maxsize=3)
+        for n in range(3):
+            donor.put(sig(n), plan)
+        donor.save(path)
+
+        live = PlanCache(maxsize=3)
+        for n in range(3, 6):
+            live.put(sig(n), plan)
+            assert live.get(sig(n)) is not None  # just used
+        assert live.load(path) == 3
+        assert all(sig(n) in live for n in range(3, 6))
+        assert not any(sig(n) in live for n in range(3))
+        assert live.evictions == 3
+
     def test_load_replace_drops_live_entries(self, tmp_path):
         path = tmp_path / "shard_a.json"
         _, plan = make_plan()

@@ -3,11 +3,9 @@
 A streaming workload mutates operands between calls, so the exact
 signature key (which embeds nnz) almost never repeats.  The cache keeps
 a masked structure index so a lookup at a drifted nnz can reuse the
-same structure's plan within ``drift_rtol`` — and deliberately miss
+same structure's plan within ``DRIFT_RTOL`` — and deliberately miss
 beyond it, forcing a re-price through Algorithm 7.
 """
-
-import pytest
 
 from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec
@@ -16,6 +14,25 @@ from repro.runtime.plan_cache import PlanCache
 from repro.runtime.signature import ProblemSignature, _machine_token
 
 SPEC = ContractionSpec((64, 16), (16, 32), [(1, 0)])
+
+V1_PLAN_FILE = """{
+ "version": 1,
+ "entries": [
+  [
+   "L64x16|R16x32|P1:0|n500,100|Mdesktop-i7-11700F;8;16777216;524288;8|Aauto|T0",
+   {
+    "accumulator": "dense",
+    "tile_l": 64,
+    "tile_r": 32,
+    "machine_name": "desktop-i7-11700F",
+    "p_l": 0.5,
+    "p_r": 0.25,
+    "est_output_density": 0.1,
+    "expected_tile_nnz": 12.0
+   }
+  ]
+ ]
+}"""
 
 
 def sig(nnz_l, nnz_r=100):
@@ -37,7 +54,7 @@ class TestDriftReuse:
         assert cache.drift_hits == 0
 
     def test_reuse_within_tolerance(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         hit = cache.get(sig(550))  # 10% drift
         assert hit is not None
@@ -49,27 +66,21 @@ class TestDriftReuse:
         assert cache.drift_hits == before
 
     def test_reprice_beyond_tolerance(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         assert cache.get(sig(900)) is None  # 80% drift: miss
         assert cache.drift_repriced == 1
         assert cache.drift_hits == 0
 
     def test_both_operands_checked(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500, 100), plan_for(500, 100))
         # Left within tolerance, right far out: must miss.
         assert cache.get(sig(510, 400)) is None
         assert cache.drift_repriced == 1
 
-    def test_disabled_when_none(self):
-        cache = PlanCache(drift_rtol=None)
-        cache.put(sig(500), plan_for(500))
-        assert cache.get(sig(505)) is None
-        assert cache.drift_hits == 0 and cache.drift_repriced == 0
-
     def test_different_structure_never_reused(self):
-        cache = PlanCache(drift_rtol=10.0)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         other = ProblemSignature(
             left_shape=(64, 16), right_shape=(16, 32), pairs=((1, 0),),
@@ -77,10 +88,6 @@ class TestDriftReuse:
             accumulator="dense",
         )
         assert cache.get(other) is None
-
-    def test_bad_rtol_rejected(self):
-        with pytest.raises(ValueError):
-            PlanCache(drift_rtol=-0.1)
 
 
 class TestDriftAfterPersistence:
@@ -95,24 +102,35 @@ class TestDriftAfterPersistence:
         assert cold.get(sig(560)) is not None  # 12% drift on warm entry
         assert cold.drift_hits == 1
 
+    def test_parent_format_file_loads_and_drift_hits(self, tmp_path):
+        # A version-1 file exactly as earlier releases wrote it.
+        path = tmp_path / "plans.json"
+        path.write_text(V1_PLAN_FILE)
+        cache = PlanCache(path=path)
+        assert cache.load_error is None and len(cache) == 1
+        hit = cache.get(sig(540))  # 8% drift from the file's nnz_l=500
+        assert hit is not None and hit.accumulator == "dense"
+        assert hit.tile_l == 64 and hit.expected_tile_nnz == 12.0
+        assert cache.drift_hits == 1
+
 
 class TestInvalidationInteraction:
     def test_invalidated_entry_not_drift_reusable(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         assert cache.invalidate(sig(500)) is True
         assert cache.get(sig(510)) is None
         assert cache.drift_hits == 0
 
     def test_invalidate_where_drops_structure_index(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         assert cache.invalidate_where(lambda key: "L64x16" in key) == 1
         assert cache.get(sig(505)) is None
         assert cache.stats()["invalidated"] == 1
 
     def test_eviction_drops_structure_index(self):
-        cache = PlanCache(maxsize=1, drift_rtol=0.25)
+        cache = PlanCache(maxsize=1)
         cache.put(sig(500), plan_for(500))
         other = ProblemSignature(
             left_shape=(128, 16), right_shape=(16, 32), pairs=((1, 0),),

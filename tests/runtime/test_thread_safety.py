@@ -9,6 +9,7 @@ updates, corrupted LRU state, or interleaved JSON writes.
 """
 
 import json
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from repro.data.random_tensors import random_coo
 from repro.machine.specs import DESKTOP
 from repro.runtime import ContractionRuntime, PlanCache
 from repro.runtime.plan_cache import CachedPlan
+from repro.util.cache import BoundedCache
 
 N_THREADS = 8
 
@@ -94,6 +96,37 @@ class TestPlanCacheConcurrency:
         assert reloaded.load_error is None
         assert len(reloaded) > 0
         assert payload["entries"]
+
+
+class TestBoundedCacheConcurrency:
+    def test_pin_get_put_hammer_keeps_exact_tallies(self):
+        cache = BoundedCache(16)
+        per_thread = 200
+        made = []
+
+        def worker(k):
+            for i in range(per_thread):
+                key = f"t{k}/{i % 40}"
+                cache.pin(key, lambda key=key: made.append(key) or key)
+                assert cache.get(key, ("s", (i,))) is not None  # pinned
+                cache.put(f"x{k}/{i}", i, ("s", (i,)))
+                cache.unpin(key)
+                assert len(cache) <= 16 + N_THREADS
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleavings
+        try:
+            run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats()
+        assert stats["hits"] == N_THREADS * per_thread
+        assert stats["misses"] == 0
+        assert cache.pinned_count() == 0
+        assert stats["entries"] == 16
+        # Every inserted key is either still cached or counted evicted.
+        inserted = len(made) + N_THREADS * per_thread
+        assert stats["entries"] + stats["evictions"] == inserted
 
 
 class TestCountersConcurrency:
