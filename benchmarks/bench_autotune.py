@@ -100,7 +100,7 @@ def main() -> None:
         _seed_stale(tuned_rt, operands)
         tuner = OnlineTuner(DESKTOP, TunerConfig(
             explore_rate=0.30, min_trials=2, promote_margin=0.05,
-            refit_every=8, state_path=path, default_eligible=True,
+            state_path=path, default_eligible=True,
         )).attach(tuned_rt)
         tuned = _drive(tuned_rt, operands, rounds)
         metrics = tuner.metrics()
@@ -134,10 +134,9 @@ def main() -> None:
     print(f"tuner: {metrics['explorations']} explorations over "
           f"{metrics['eligible_calls']} eligible calls, "
           f"{metrics['promotions']} promotions, "
-          f"{metrics['rollbacks']} rollbacks, {metrics['refits']} refits")
+          f"{metrics['rollbacks']} rollbacks")
     print(f"persisted state: {warm['samples']} samples, "
-          f"{warm['champions']} champions, weights fitted: "
-          f"{warm['weights_fitted']}")
+          f"{warm['champions']} champions")
     print(f"steady-state speedup over frozen: {gain:.2f}x; "
           f"restart starts at {restart_mean / max(tuned_steady, 1e-12):.2f}x "
           f"the converged latency")

@@ -158,37 +158,43 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    from repro.analysis.counters import Counters
     from repro.machine.specs import DESKTOP, SERVER
-    from repro.runtime import BatchExecutor, BatchItem, ContractionRuntime
+    from repro.runtime import BatchReport, ContractionRuntime, CostCalibrator
 
     machine = SERVER if args.machine == "server" else DESKTOP
     runtime = ContractionRuntime(
         machine=machine,
         cache_path=args.cache_file,
         n_workers=args.workers,
-        calibrate=not args.no_calibrate,
         backend=args.backend,
         # Size the operand cache so a full pass over the distinct cases
         # fits — otherwise --repeat evicts every table before reuse.
         operand_cache_size=max(8, 2 * len(set(args.cases))),
     )
-    items = []
-    for _ in range(max(1, args.repeat)):
-        for name in args.cases:
-            left, right, pairs = _batch_operands(name)
-            items.append(BatchItem(left, right, tuple(pairs), name=name))
-
-    executor = BatchExecutor(runtime)
+    operands = [_batch_operands(name) for name in args.cases]
+    calibrator = CostCalibrator(machine=machine)
+    records, outputs = [], []
     t0 = time.perf_counter()
-    report = executor.run(items)
+    for _ in range(max(1, args.repeat)):
+        for name, (left, right, pairs) in zip(args.cases, operands):
+            call = Counters()
+            out, stats, record = runtime.contract(
+                left, right, pairs, name=name, counters=call,
+                return_stats=True, return_record=True,
+            )
+            calibrator.observe(stats.plan, stats, call)
+            records.append(record)
+            outputs.append(out)
     dt = time.perf_counter() - t0
-    print(f"batch of {len(items)} contractions on {machine.name} "
+    report = BatchReport(records, runtime.metrics(), outputs)
+    print(f"batch of {len(records)} contractions on {machine.name} "
           f"({dt:.4f}s wall):")
     print(report.summary())
-    if runtime.calibrator is not None and runtime.calibrator.samples:
-        runtime.calibrator.fit()
-        before, after = runtime.calibrator.improvement()
-        print(f"cost-model calibration over {len(runtime.calibrator.samples)} "
+    if calibrator.samples:
+        calibrator.fit()
+        before, after = calibrator.improvement()
+        print(f"cost-model calibration over {len(calibrator.samples)} "
               f"runs: relative error {before:.2f} -> {after:.2f}")
     if args.cache_file:
         runtime.flush()
@@ -662,7 +668,6 @@ def _cmd_autotune(args) -> int:
         return 0
     s = state.summary()
     print(f"autotune state {args.state} (machine {s['machine']}):")
-    print(f"  weights fitted: {s['weights_fitted']}")
     print(f"  measurements: {s['samples']} samples over "
           f"{s['signatures']} signatures")
     print(f"  champions: {s['champions']} promoted "
@@ -712,7 +717,7 @@ def _autotune_self_check(args) -> int:
         runtime = ContractionRuntime(machine=DESKTOP)
         tuner = OnlineTuner(DESKTOP, TunerConfig(
             explore_rate=0.25, min_trials=2, promote_margin=0.05,
-            refit_every=8, state_path=path, default_eligible=True,
+            state_path=path, default_eligible=True,
             seed=args.seed,
         )).attach(runtime)
 
@@ -957,8 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--cache-file", default=None,
                        help="JSON plan-cache file (loaded if present, "
                             "saved on exit)")
-    batch.add_argument("--no-calibrate", action="store_true",
-                       help="skip cost-model calibration")
     _add_backend_flag(batch)
 
     check = sub.add_parser(

@@ -1,21 +1,20 @@
 """Online autotuning: bandit plan exploration under live traffic.
 
-The subsystem closes the loop the calibrator left open: the runtime
-already *measures* every contraction and refits cost weights, but the
-plans it replays stay whatever the model first chose.  The autotuner
-spends a small budget of eligible live traffic on challenger plans
-(alternate accumulator, tile size, backend, or network path optimizer),
-accumulates the wall-clock outcomes per problem signature, and promotes
-a challenger into the plan cache only once it beats the champion by a
-configured margin — with automatic rollback and persistent learned
-state so restarts and shard workers warm-start instead of relearning.
+The runtime replays whatever plan the model first chose for a problem
+signature.  The autotuner spends a small budget of eligible live
+traffic on challenger plans (alternate accumulator, tile size, backend,
+or network path optimizer), accumulates the wall-clock outcomes per
+problem signature, and promotes a challenger into the plan cache only
+once it beats the champion by a configured margin — with automatic
+rollback and persistent learned state so restarts and shard workers
+warm-start instead of relearning.
 
 Layering::
 
     measurements  bounded per-(signature, arm) moments; associative merge
     candidates    arm enumeration (what *can* be explored per problem)
     bandit        budgeted epsilon-greedy pick / promotion / rollback
-    state         versioned JSON persistence (weights, champions, history)
+    state         versioned JSON persistence (store, champions, history)
     tuner         the orchestrator wired into runtime + serve
 
 See ``docs/autotune.md`` for the serving-side guardrails.

@@ -4,10 +4,6 @@ One JSON document per machine model (the state embeds the machine name
 it was learned on and refuses to warm-start a different machine — a
 DESKTOP-learned tile preference is noise on SERVER):
 
-* the **calibrated cost weights** the
-  :class:`~repro.runtime.calibrator.CostCalibrator` converged to, so a
-  restarted service prices plans with measured constants from second
-  one;
 * the **measurement store** (:mod:`repro.autotune.measurements`), so
   challengers do not restart their trials from zero;
 * the **champion table** — per-signature promoted decisions with the
@@ -20,7 +16,8 @@ The file discipline is the :class:`~repro.runtime.plan_cache.PlanCache`
 one (:mod:`repro.util.jsonstore`): atomic-rename writes,
 versioned payloads, and a parse failure that degrades to a cold state
 recorded on :attr:`AutotuneState.load_error` instead of taking the
-service down.
+service down.  Older version-1 files also carry a ``"weights"`` key;
+loading ignores it.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from dataclasses import asdict, dataclass
 
 from repro.autotune.candidates import Candidate
 from repro.autotune.measurements import MeasurementStore
-from repro.machine.cost_model import CostWeights
 from repro.util.jsonstore import load_json_versioned, save_json_atomic
 
 __all__ = ["ChampionRecord", "PromotionEvent", "AutotuneState"]
@@ -124,7 +120,6 @@ class AutotuneState:
         self.machine_name = machine_name
         self.path = os.fspath(path) if path is not None else None
         self.store = store if store is not None else MeasurementStore()
-        self.weights: CostWeights | None = None
         self.champions: dict[str, ChampionRecord] = {}
         self.history: list[PromotionEvent] = []
         self.load_error: str | None = None
@@ -160,9 +155,6 @@ class AutotuneState:
                 "version": _FORMAT_VERSION,
                 "machine": self.machine_name,
                 "saved_at": time.time(),
-                "weights": (
-                    None if self.weights is None else asdict(self.weights)
-                ),
                 "store": self.store.to_json(),
                 "champions": {
                     k: v.to_json() for k, v in self.champions.items()
@@ -189,7 +181,7 @@ class AutotuneState:
             self.load_error = error
             return False
         with self._lock:
-            self.weights, self.store, self.champions, history = loaded
+            self.store, self.champions, history = loaded
             self.history = history[-MAX_HISTORY:]
             self.loaded_from = path
         return True
@@ -201,9 +193,7 @@ class AutotuneState:
                 f"state was learned on machine {machine!r}, this "
                 f"process runs {self.machine_name!r}"
             )
-        weights_doc = payload.get("weights")
         return (
-            None if weights_doc is None else CostWeights(**weights_doc),
             MeasurementStore.from_json(payload.get("store", {})),
             {
                 str(k): ChampionRecord.from_json(v)
@@ -220,8 +210,7 @@ class AutotuneState:
         Measurement stores merge through Chan's moments; champion
         tables merge last-writer-wins per signature (disagreeing shards
         converge once the merged store feeds the next promotion check);
-        histories concatenate and trim; weights keep the local fit
-        (weights are derived state — refit from the merged samples).
+        histories concatenate and trim.
         """
         with self._lock:
             self.store.merge(other.store)
@@ -235,7 +224,6 @@ class AutotuneState:
         with self._lock:
             return {
                 "machine": self.machine_name,
-                "weights_fitted": self.weights is not None,
                 "champions": len(self.champions),
                 "promotions": sum(
                     1 for e in self.history if e.event == "promote"

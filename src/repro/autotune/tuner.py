@@ -3,17 +3,12 @@
 :class:`OnlineTuner` sits between the serving layer and the adaptive
 runtime.  Per call it makes one cheap decision — *replay the champion,
 or spend exploration budget on a challenger* — and per measurement it
-advances three slower loops:
+advances two slower loops:
 
 1. **bandit** (:mod:`repro.autotune.bandit`): wall-clock outcomes
    accumulate per (signature, arm) in the bounded
    :class:`~repro.autotune.measurements.MeasurementStore`;
-2. **calibration**: every ``refit_every`` samples the runtime's
-   :class:`~repro.runtime.calibrator.CostCalibrator` refits the
-   :class:`~repro.machine.cost_model.CostWeights`, and the fitted
-   weights land in the persistent state — restarts price plans with
-   measured constants immediately;
-3. **promotion**: a challenger that beats the champion by the margin
+2. **promotion**: a challenger that beats the champion by the margin
    over enough trials is installed into the
    :class:`~repro.runtime.plan_cache.PlanCache` (pairwise) or the
    preferred-optimizer table (network), with the displaced decision
@@ -46,7 +41,6 @@ from repro.autotune.measurements import MeasurementStore
 from repro.autotune.state import AutotuneState, ChampionRecord, PromotionEvent
 from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec
-from repro.errors import ConfigError
 from repro.machine.specs import MachineSpec
 from repro.runtime.plan_cache import CachedPlan
 from repro.runtime.signature import ProblemSignature
@@ -71,7 +65,6 @@ class TunerConfig:
     promote_margin: float = 0.10
     rollback_margin: float = 0.25
     cooldown: int = 32
-    refit_every: int = 16
     max_signatures: int = 256
     max_arms: int = 16
     state_path: str | None = None
@@ -80,18 +73,7 @@ class TunerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.refit_every < 1:
-            raise ConfigError(
-                f"refit_every must be >= 1, got {self.refit_every}"
-            )
-        # Range checks shared with the bandit (raises ConfigError).
-        BanditConfig(
-            explore_rate=self.explore_rate,
-            min_trials=self.min_trials,
-            promote_margin=self.promote_margin,
-            rollback_margin=self.rollback_margin,
-            cooldown=self.cooldown,
-        )
+        self.bandit_config()  # range checks shared with the bandit
 
     def bandit_config(self) -> BanditConfig:
         return BanditConfig(
@@ -137,25 +119,20 @@ class OnlineTuner:
         # arm enumerations, cached per signature key (bounded).
         self._pairwise_arms: dict[str, list[Candidate]] = {}
         self._network_arms: dict[str, list[Candidate]] = {}
-        self._samples_since_refit = 0
         self.promotions = 0
         self.rollbacks = 0
-        self.refits = 0
 
     # -- wiring ---------------------------------------------------------
 
     def attach(self, runtime) -> "OnlineTuner":
         """Bind to a runtime: hook `contract()`, warm-start learning.
 
-        Applies the persisted calibrated weights to the runtime's
-        calibrator and replays every persisted pairwise promotion into
-        the plan cache, so the first request after a restart already
-        runs the learned decisions.
+        Replays every persisted pairwise promotion into the plan cache,
+        so the first request after a restart already runs the learned
+        decisions.
         """
         self._runtime = runtime
         runtime.tuner = self
-        if self.state.weights is not None and runtime.calibrator is not None:
-            runtime.calibrator.weights = self.state.weights
         for sig_key, record in list(self.state.champions.items()):
             if record.plan is not None:
                 runtime.plan_cache.put_key(
@@ -239,7 +216,6 @@ class OnlineTuner:
         if arm_id is None:
             arm_id = record.arm_id if record is not None else CHAMPION_ARM
         self.state.store.observe(key, arm_id, seconds)
-        self._maybe_refit()
         if record is not None:
             self._maybe_rollback(key, record, kind="pairwise")
         else:
@@ -344,7 +320,6 @@ class OnlineTuner:
         if arm_id is None:
             arm_id = record.arm_id if record is not None else CHAMPION_ARM
         self.state.store.observe(sig_key, arm_id, seconds)
-        self._maybe_refit()
         if record is not None:
             self._maybe_rollback(sig_key, record, kind="network")
         else:
@@ -412,36 +387,10 @@ class OnlineTuner:
                 timestamp=time.time(),
             ))
 
-    def _maybe_refit(self) -> None:
-        """Incremental calibrator refit + weight capture, every N samples."""
-        runtime = self._runtime
-        if runtime is None or runtime.calibrator is None:
-            return
-        with self._lock:
-            self._samples_since_refit += 1
-            if self._samples_since_refit < self.config.refit_every:
-                return
-            self._samples_since_refit = 0
-        calibrator = runtime.calibrator
-        if not calibrator.samples:
-            return
-        try:
-            self.state.weights = calibrator.fit()
-        except ValueError:
-            return
-        self.refits += 1
-
     # -- persistence / metrics ------------------------------------------
 
     def flush(self) -> str | None:
-        """Capture the latest calibrated weights and persist the state."""
-        runtime = self._runtime
-        if (
-            runtime is not None
-            and runtime.calibrator is not None
-            and runtime.calibrator.weights is not None
-        ):
-            self.state.weights = runtime.calibrator.weights
+        """Persist the learned state (no-op without a ``state_path``)."""
         return self.state.flush()
 
     def metrics(self) -> dict:
@@ -454,7 +403,6 @@ class OnlineTuner:
             "explorations": policy["explorations"],
             "promotions": self.promotions,
             "rollbacks": self.rollbacks,
-            "refits": self.refits,
             "signatures": store["signatures"],
             "samples": store["samples"],
             "champions": len(self.state.champions),

@@ -71,7 +71,7 @@ class CostWeights:
     The defaults are the hard-coded machine assumptions the paper's
     platform comparison uses; :func:`fit_cost_weights` refits them from
     measured runs so the time proxy converges toward the observed
-    machine (the runtime layer's calibration loop).
+    machine (:class:`~repro.runtime.calibrator.CostCalibrator`).
     """
 
     query_cost: float = 30.0

@@ -247,7 +247,6 @@ class NetworkExecutor:
         self.cse_misses = 0
         self.batch_cse_hits = 0
         self.dead_skips = 0
-        self.reports: list[NetworkReport] = []
 
     plan_hits = property(lambda self: self._plans.hits)
     plan_misses = property(lambda self: self._plans.misses)
@@ -574,7 +573,6 @@ class NetworkExecutor:
         report.peak_intermediate_nnz = int(peak_nnz)
         report.peak_intermediate_bytes = int(peak_bytes)
         report.output_nnz = final.nnz
-        self.reports.append(report)
         return final, report
 
     # -- prepared (repeated) execution ----------------------------------

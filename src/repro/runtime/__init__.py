@@ -5,8 +5,9 @@ with the pieces a repeated-traffic workload needs:
 
 * :class:`PlanCache` — LRU cache of Algorithm 7 decisions keyed by the
   problem's structural signature, optionally persisted to JSON;
-* :class:`CostCalibrator` — refits the analytic cost model's constants
-  from measured runs, so predictions track the observed machine;
+* :class:`CostCalibrator` — a standalone fitter of the analytic cost
+  model's constants from measured runs (``repro batch`` feeds it);
+  planning never reads its weights;
 * :class:`ContractionRuntime` / :class:`BatchExecutor` — cache-aware
   execution that reuses linearized operands and tiled tables across
   calls sharing an operand, reporting hit rates through the standard

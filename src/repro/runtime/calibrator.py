@@ -2,11 +2,13 @@
 
 The analytic model (`repro.machine.cost_model`) converts data-access
 counts into time through hard-coded per-event costs — assumptions about
-a machine nobody measured.  The calibrator closes the loop SparseAuto-
-style: every instrumented run contributes one ``(access counts,
+a machine nobody measured.  The calibrator measures how far off they
+are: each run a caller feeds it contributes one ``(access counts,
 measured kernel seconds)`` sample, and :meth:`CostCalibrator.fit`
 refits the :class:`~repro.machine.cost_model.CostWeights` so predictions
 converge toward the observed host instead of the DESKTOP/SERVER specs.
+It is a standalone fitter: ``repro batch`` feeds it and prints the fit,
+while planning (Algorithm 7) keeps the machine's fixed parameters.
 
 The fit is evaluated by :meth:`CostCalibrator.relative_errors`: the
 predicted-vs-measured error under the calibrated weights must shrink

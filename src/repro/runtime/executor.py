@@ -1,12 +1,12 @@
-"""The adaptive contraction runtime: cached plans, reused tables,
-batched execution, and measurement-driven calibration.
+"""The adaptive contraction runtime: cached plans, reused tables and
+batched execution.
 
 ``contract()`` recomputes everything on every call: it linearizes both
 operands, runs Algorithm 7, builds both operands' tiled hash tables,
 and only then contracts.  In a serving workload the same structural
 problem — and frequently the very same operand tensor — recurs over and
 over (the DLPNO pipeline contracts ``TE_vv`` against two different
-partners back to back), so the runtime keeps three caches:
+partners back to back), so the runtime keeps two caches:
 
 * a :class:`~repro.runtime.plan_cache.PlanCache` keyed by the problem's
   structural signature (skips Algorithm 7 on recurrence, optionally
@@ -14,17 +14,18 @@ partners back to back), so the runtime keeps three caches:
 * an operand cache holding each recently-seen tensor's linearized form
   and tiled tables per (role, tile size) — a repeat call, or a batched
   neighbor sharing the operand, skips linearization *and* table
-  construction;
-* a :class:`~repro.runtime.calibrator.CostCalibrator` fed by every
-  instrumented run, refitting the cost model toward the observed host.
+  construction.
 
 All reuse is observable through the standard
 :class:`~repro.analysis.counters.Counters` fields
 (``plan_cache_hits``/``misses``, ``table_reuse_hits``/``table_builds``).
+The runtime keeps running totals, not per-call histories: a caller that
+wants one call's :class:`RunRecord` asks for it with ``return_record``.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -41,7 +42,6 @@ from repro.core.tiled_co import (
     tiled_co_contract,
 )
 from repro.machine.specs import DESKTOP, MachineSpec
-from repro.runtime.calibrator import CostCalibrator
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.signature import signature_for
 from repro.tensors.coo import COOTensor
@@ -105,14 +105,12 @@ class ContractionRuntime:
     Parameters
     ----------
     machine:
-        Platform model used for planning (and calibrated against).
+        Platform model used for planning.
     plan_cache:
         A shared :class:`PlanCache`; built fresh when omitted
         (``cache_path``/``cache_size`` configure the private one).
     cache_path:
         JSON persistence file for the private plan cache.
-    calibrate:
-        Feed every run into the cost calibrator (cheap; on by default).
     n_workers:
         Worker threads handed to the kernel.
     operand_cache_size:
@@ -131,7 +129,6 @@ class ContractionRuntime:
         plan_cache: PlanCache | None = None,
         cache_path=None,
         cache_size: int = 128,
-        calibrate: bool = True,
         n_workers: int = 1,
         operand_cache_size: int = 8,
         backend: "str | KernelBackend | None" = None,
@@ -143,10 +140,13 @@ class ContractionRuntime:
             if plan_cache is not None
             else PlanCache(maxsize=cache_size, path=cache_path)
         )
-        self.calibrator = CostCalibrator(machine=machine) if calibrate else None
         self.n_workers = int(n_workers)
+        # Running totals behind metrics(), updated under one lock.
         self.counters = Counters()
-        self.records: list[RunRecord] = []
+        self._totals_lock = threading.Lock()
+        self._calls = 0
+        self._measured_seconds = 0.0
+        self._seconds_saved = 0.0
         # Keyed by ``id(tensor)``: each entry holds a strong reference to
         # its tensor, so a live key's id can never be recycled.  Identity,
         # not equality — COO comparison would cost as much as the
@@ -237,9 +237,8 @@ class ContractionRuntime:
         Mirrors :func:`repro.core.contraction.contract`'s interface and
         output; the difference is where the plan and the tiled tables
         come from.  ``return_record`` appends this call's
-        :class:`RunRecord` to the return value — under a multi-threaded
-        caller (the serve worker pool) this is the only race-free way
-        to read the record, since ``self.records`` interleaves calls.
+        :class:`RunRecord` to the return value; the runtime itself keeps
+        only running totals (see :meth:`metrics`).
         ``backend`` overrides the runtime's default kernel backend for
         this call (``"auto"`` resolves from the problem signature).
         """
@@ -334,9 +333,6 @@ class ContractionRuntime:
         stats.phase_seconds["linearize"] = lin_l_s + lin_r_s
         stats.output_nnz = out.nnz
 
-        if self.calibrator is not None:
-            self.calibrator.observe(plan, stats, call_counters)
-
         record = RunRecord(
             name=name,
             seconds=time.perf_counter() - t_call,
@@ -349,8 +345,11 @@ class ContractionRuntime:
             phase_seconds=dict(stats.phase_seconds),
             backend=kernel_backend.name,
         )
-        self.records.append(record)
-        self.counters.merge(call_counters)
+        with self._totals_lock:
+            self._calls += 1
+            self._measured_seconds += record.seconds
+            self._seconds_saved += record.seconds_saved
+            self.counters.merge(call_counters)
         if counters is not None:
             counters.merge(call_counters)
 
@@ -416,7 +415,8 @@ class ContractionRuntime:
             self._tables(left, "L", spec, left_op, plan.tile_l, counters)
             self._tables(right, "R", spec, right_op, plan.tile_r, counters)
             built = counters.table_builds
-            self.counters.merge(counters)
+            with self._totals_lock:
+                self.counters.merge(counters)
         return {
             "tables_built": built,
             "backend": kernel_backend.name,
@@ -495,20 +495,22 @@ class ContractionRuntime:
     def metrics(self) -> dict:
         """Aggregate runtime metrics (counter-derived, JSON-friendly)."""
         c = self.counters
-        plan_total = c.plan_cache_hits + c.plan_cache_misses
-        table_total = c.table_reuse_hits + c.table_builds
-        measured = sum(r.seconds for r in self.records)
-        saved = sum(r.seconds_saved for r in self.records)
+        with self._totals_lock:
+            calls = self._calls
+            plan_hits, plan_misses = c.plan_cache_hits, c.plan_cache_misses
+            reuse_hits, builds = c.table_reuse_hits, c.table_builds
+            measured = self._measured_seconds
+            saved = self._seconds_saved
+        plan_total = plan_hits + plan_misses
+        table_total = reuse_hits + builds
         return {
-            "calls": len(self.records),
-            "plan_cache_hits": c.plan_cache_hits,
-            "plan_cache_misses": c.plan_cache_misses,
-            "plan_hit_rate": c.plan_cache_hits / plan_total if plan_total else 0.0,
-            "table_reuse_hits": c.table_reuse_hits,
-            "table_builds": c.table_builds,
-            "table_reuse_rate": (
-                c.table_reuse_hits / table_total if table_total else 0.0
-            ),
+            "calls": calls,
+            "plan_cache_hits": plan_hits,
+            "plan_cache_misses": plan_misses,
+            "plan_hit_rate": plan_hits / plan_total if plan_total else 0.0,
+            "table_reuse_hits": reuse_hits,
+            "table_builds": builds,
+            "table_reuse_rate": reuse_hits / table_total if table_total else 0.0,
             "operands_pinned": self._operands.pinned_count(),
             "measured_seconds": measured,
             "seconds_saved": saved,
@@ -591,15 +593,14 @@ class BatchExecutor:
 
     def run(self, items: Sequence) -> BatchReport:
         items = [BatchItem.coerce(it) for it in items]
-        start = len(self.runtime.records)
-        outputs = []
+        records, outputs = [], []
         for k, item in enumerate(items):
-            out = self.runtime.contract(
+            out, record = self.runtime.contract(
                 item.left, item.right, item.pairs,
-                name=item.name or f"step{k}",
+                name=item.name or f"step{k}", return_record=True,
             )
             outputs.append(out)
-        records = self.runtime.records[start:]
+            records.append(record)
         return BatchReport(
             records=records, metrics=self.runtime.metrics(), outputs=outputs
         )

@@ -107,7 +107,7 @@ class ServiceConfig:
     challenger that wins by ``autotune_promote_margin`` over
     ``autotune_min_trials`` measured trials is promoted (with automatic
     rollback on regression).  ``autotune_state_path`` persists the
-    learned state (calibrated weights, measurements, champions) across
+    learned state (measurements, champions, promotion history) across
     restarts; leaving it unset relearns from scratch every process
     (``FSTC602`` warns).
     """
@@ -204,6 +204,14 @@ class ContractionService:
                 if d.severity == "error"
             )
             raise ConfigError(f"refusing unsafe service config: {findings}")
+        # The stream engine is built on the first stream request; refuse
+        # the knobs it would refuse now, with the engine's own message.
+        from repro.streaming.engine import check_stream_knobs
+
+        check_stream_knobs(
+            self.config.stream_staleness_threshold,
+            self.config.stream_log_maxlen,
+        )
 
         self.runtime = runtime if runtime is not None else ContractionRuntime(
             machine=machine,

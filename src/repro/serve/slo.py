@@ -270,7 +270,7 @@ _MAX_KEYS = frozenset({"high_water", "max_seconds", "workspace_cells"})
 _DERIVED_KEYS = frozenset({
     "mean_seconds", "p50", "p95", "p99",
     "plan_hit_rate", "table_reuse_rate", "estimated_speedup",
-    "network_plan_hit_rate",
+    "network_plan_hit_rate", "cse_hit_rate",
     "pairwise_plan_hit_rate", "pairwise_table_reuse_rate",
     "pairwise_estimated_speedup",
     "mean_modeled_fraction",
@@ -369,6 +369,8 @@ def _recompute_derived(d: dict) -> None:
         d["network_plan_hit_rate"] = ratio(
             d["network_plan_hits"], d.get("network_plan_misses", 0)
         )
+    if "cse_hits" in d:
+        d["cse_hit_rate"] = ratio(d["cse_hits"], d.get("cse_misses", 0))
 
 
 def _merge_two_metrics(a: dict, b: dict) -> dict:
@@ -404,6 +406,12 @@ def _merge_two_metrics(a: dict, b: dict) -> dict:
             merged["tracker"] = _merge_numeric_section(
                 va.get("tracker", {}), vb.get("tracker", {})
             )
+            # Each side's mean weighted by the deltas it averaged over.
+            na, nb = va.get("deltas_applied", 0), vb.get("deltas_applied", 0)
+            merged["mean_modeled_fraction"] = (
+                va.get("mean_modeled_fraction", 0.0) * na
+                + vb.get("mean_modeled_fraction", 0.0) * nb
+            ) / (na + nb) if na + nb else 0.0
             out[key] = merged
         elif isinstance(va, bool) or isinstance(vb, bool):
             out[key] = va and vb

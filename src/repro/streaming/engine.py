@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ from repro.streaming.delta import DeltaBatch, MutationLog
 from repro.streaming.version import DependencyTracker
 from repro.tensors.coo import COOTensor
 
-__all__ = ["IncrementalEngine", "StreamState", "StreamStats"]
+__all__ = ["IncrementalEngine", "StreamState", "StreamStats", "check_stream_knobs"]
 
 #: Default modeled-work fraction above which a delta triggers a full
 #: recompute instead of tile patching (see Section 5.1 pricing below).
@@ -74,6 +74,17 @@ class StreamStats:
     modeled_fraction: float
     seconds: float
     output_nnz: int
+
+
+def check_stream_knobs(staleness_threshold: float, log_maxlen: int) -> None:
+    """Range checks on the two engine knobs, shared with the service
+    config that builds the engine (raises :class:`ConfigError`)."""
+    if not 0.0 < staleness_threshold <= 1.0:
+        raise ConfigError(
+            f"staleness_threshold must be in (0, 1], got {staleness_threshold}"
+        )
+    if log_maxlen < 1:
+        raise ConfigError(f"log_maxlen must be >= 1, got {log_maxlen}")
 
 
 class StreamState:
@@ -148,12 +159,7 @@ class IncrementalEngine:
         tracker: DependencyTracker | None = None,
         log_maxlen: int = 256,
     ):
-        if not 0.0 < staleness_threshold <= 1.0:
-            raise ConfigError(
-                f"staleness_threshold must be in (0, 1], got {staleness_threshold}"
-            )
-        if log_maxlen < 1:
-            raise ConfigError(f"log_maxlen must be >= 1, got {log_maxlen}")
+        check_stream_knobs(staleness_threshold, log_maxlen)
         self.machine = machine
         self.staleness_threshold = float(staleness_threshold)
         self.n_workers = int(n_workers)
@@ -162,9 +168,12 @@ class IncrementalEngine:
         self.tracker = tracker if tracker is not None else DependencyTracker()
         self.log_maxlen = int(log_maxlen)
         self.counters = Counters()
-        self.records: list[StreamStats] = []
         self._states: dict[str, StreamState] = {}
         self._lock = threading.RLock()
+        # Running totals behind metrics(): [deltas, seconds] per mode,
+        # and the sum of every delta's modeled fraction.
+        self._totals = {mode: [0, 0.0] for mode in ("incremental", "full", "noop")}
+        self._fraction_sum = 0.0
 
     # ------------------------------------------------------------------
     # Registration
@@ -470,7 +479,7 @@ class IncrementalEngine:
         ``side`` selects which operand mutates.  ``force`` overrides the
         staleness decision (``"incremental"`` or ``"full"``; benchmarks
         use it to measure both paths on the same delta).  Returns the
-        per-call :class:`StreamStats` (also appended to ``records``).
+        per-call :class:`StreamStats` (folded into :meth:`metrics`).
         """
         if side not in ("left", "right"):
             raise ConfigError(f"side must be left|right, got {side!r}")
@@ -503,8 +512,7 @@ class IncrementalEngine:
                 seconds=time.perf_counter() - t0,
                 output_nnz=state.output.nnz if state.output is not None else 0,
             )
-            self.records.append(stats)
-            return stats
+            return self._tally(stats)
 
         # Touched tiles: the delta's coordinates mapped through the
         # spec's external linearizer onto this side's tile grid.
@@ -566,7 +574,14 @@ class IncrementalEngine:
             seconds=time.perf_counter() - t0,
             output_nnz=state.output.nnz if state.output is not None else 0,
         )
-        self.records.append(stats)
+        return self._tally(stats)
+
+    def _tally(self, stats: StreamStats) -> StreamStats:
+        with self._lock:
+            totals = self._totals[stats.mode]
+            totals[0] += 1
+            totals[1] += stats.seconds
+            self._fraction_sum += stats.modeled_fraction
         return stats
 
     def _patch(
@@ -665,21 +680,20 @@ class IncrementalEngine:
 
     def metrics(self) -> dict:
         """JSON-friendly aggregate metrics."""
-        records = list(self.records)
-        inc = [r for r in records if r.mode == "incremental"]
-        full = [r for r in records if r.mode == "full"]
         with self._lock:
             streams = sorted(self._states)
+            inc, inc_s = self._totals["incremental"]
+            full, full_s = self._totals["full"]
+            noop, _ = self._totals["noop"]
+            fraction_sum = self._fraction_sum
+        deltas = inc + full + noop
         return {
             "streams": streams,
-            "deltas_applied": len(records),
-            "incremental": len(inc),
-            "full": len(full),
-            "incremental_seconds": sum(r.seconds for r in inc),
-            "full_seconds": sum(r.seconds for r in full),
-            "mean_modeled_fraction": (
-                sum(r.modeled_fraction for r in records) / len(records)
-                if records else 0.0
-            ),
+            "deltas_applied": deltas,
+            "incremental": inc,
+            "full": full,
+            "incremental_seconds": inc_s,
+            "full_seconds": full_s,
+            "mean_modeled_fraction": fraction_sum / deltas if deltas else 0.0,
             "tracker": self.tracker.stats(),
         }

@@ -8,7 +8,6 @@ from repro.autotune.candidates import Candidate
 from repro.autotune.measurements import MeasurementStore
 from repro.autotune.state import AutotuneState, ChampionRecord, PromotionEvent
 from repro.autotune.tuner import OnlineTuner, TunerConfig
-from repro.machine.cost_model import DEFAULT_WEIGHTS
 from repro.machine.specs import DESKTOP
 from repro.runtime import ContractionRuntime
 from repro.runtime.signature import ProblemSignature, _machine_token
@@ -65,6 +64,27 @@ V1_STATE_FILE = """{
 }""" % {"key": V1_KEY}
 
 
+V1_WEIGHTS = """"weights": {
+  "query_cost": 90.0,
+  "element_cost": 3.0,
+  "update_hit_cost": 6.0,
+  "update_miss_cost": 180.0,
+  "ghz": 3.0
+ }"""
+
+V1_HISTORY = """"history": [
+  {
+   "event": "promote",
+   "sig_key": "%(key)s",
+   "arm_id": "acc=dense",
+   "reason": "beat champion",
+   "challenger_mean": 0.01,
+   "champion_mean": 0.02,
+   "timestamp": 1792214746.5
+  }
+ ]""" % {"key": V1_KEY}
+
+
 def record(arm_id="acc=sparse", baseline=1.0):
     return ChampionRecord(
         arm_id=arm_id,
@@ -86,7 +106,6 @@ class TestRoundTrip:
     def test_save_load_preserves_everything(self, tmp_path):
         path = tmp_path / "state.json"
         state = AutotuneState("desktop-i7-11700F", path=str(path))
-        state.weights = DEFAULT_WEIGHTS.scaled(3.0)
         state.store.observe("sig", "acc=sparse", 0.01)
         state.store.observe("sig", "model", 0.02)
         state.set_champion("sig", record())
@@ -95,8 +114,6 @@ class TestRoundTrip:
 
         fresh = AutotuneState("desktop-i7-11700F")
         assert fresh.load(path)
-        assert fresh.weights.query_cost == pytest.approx(
-            3.0 * DEFAULT_WEIGHTS.query_cost)
         assert fresh.store.trials("sig", "acc=sparse") == 1
         assert fresh.champion("sig").arm_id == "acc=sparse"
         assert fresh.champion("sig").plan["tile_l"] == 32
@@ -158,6 +175,24 @@ class TestGuards:
         hit = runtime.plan_cache.get(drifted)
         assert hit is not None and hit.accumulator == "dense"
         assert runtime.plan_cache.drift_hits == 1
+
+
+    def test_parent_format_file_with_weights_loads(self, tmp_path):
+        # Earlier releases also wrote fitted cost weights; the key is
+        # ignored and the store, champions and history still load.
+        path = tmp_path / "state.json"
+        path.write_text(
+            V1_STATE_FILE.replace('"weights": null', V1_WEIGHTS)
+            .replace('"history": []', V1_HISTORY)
+        )
+        state = AutotuneState("desktop-i7-11700F")
+        assert state.load(path), state.load_error
+        assert state.store.trials(V1_KEY, "acc=dense") == 1
+        assert state.champion(V1_KEY).plan["tile_l"] == 64
+        assert [(e.event, e.arm_id) for e in state.history] == [
+            ("promote", "acc=dense")
+        ]
+        assert "weights" not in state.to_json()
 
 
 class TestMerge:

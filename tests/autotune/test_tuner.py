@@ -21,7 +21,7 @@ def operands(seed=0, shape_l=(40, 36), shape_r=(36, 44), nnz=300):
 def make_tuner(runtime=None, **overrides):
     config = TunerConfig(**{
         "explore_rate": 0.5, "min_trials": 2, "promote_margin": 0.05,
-        "rollback_margin": 0.25, "refit_every": 4,
+        "rollback_margin": 0.25,
         "default_eligible": True, **overrides,
     })
     tuner = OnlineTuner(DESKTOP, config)
@@ -42,8 +42,6 @@ class TestConfig:
     def test_ranges_validated(self):
         with pytest.raises(ConfigError):
             TunerConfig(explore_rate=2.0)
-        with pytest.raises(ConfigError):
-            TunerConfig(refit_every=0)
 
 
 class TestEligibility:
@@ -165,8 +163,6 @@ class TestWarmStart:
         assert replayed is not None
         assert replayed.tile_l == record.plan["tile_l"]
         assert tuner2.state.champion(sig.key).arm_id == plan_arm.arm_id
-        if tuner.state.weights is not None:
-            assert runtime2.calibrator.weights == tuner.state.weights
 
 
 class TestRuntimeIntegration:
@@ -209,6 +205,6 @@ class TestRuntimeIntegration:
         metrics = tuner.metrics()
         assert set(metrics) == {
             "eligible_calls", "explorations", "promotions", "rollbacks",
-            "refits", "signatures", "samples", "champions",
+            "signatures", "samples", "champions",
         }
         assert all(isinstance(v, int) for v in metrics.values())

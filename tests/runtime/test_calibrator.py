@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.counters import Counters
 from repro.machine.cost_model import (
     DEFAULT_WEIGHTS,
     AccessCostModel,
@@ -86,10 +87,14 @@ class TestCalibratorAcceptance:
         from repro.data.registry import get_case
 
         left, right, pairs = get_case("uber_123").load()
-        runtime = ContractionRuntime(machine=DESKTOP, calibrate=True)
+        runtime = ContractionRuntime(machine=DESKTOP)
+        calibrator = CostCalibrator(machine=DESKTOP)
         for _ in range(3):
-            runtime.contract(left, right, pairs)
-        calibrator = runtime.calibrator
+            call = Counters()
+            _, stats = runtime.contract(
+                left, right, pairs, counters=call, return_stats=True
+            )
+            calibrator.observe(stats.plan, stats, call)
         assert calibrator.samples, "instrumented runs must produce samples"
         calibrator.fit()
         uncalibrated, calibrated = calibrator.improvement()

@@ -50,14 +50,16 @@ class TestRuntimeContract:
         a, b, pairs = tensors
         rt = ContractionRuntime()
         rt.contract(a, b, pairs)
-        _, stats = rt.contract(a, b, pairs, return_stats=True)
+        _, stats, record = rt.contract(
+            a, b, pairs, return_stats=True, return_record=True
+        )
         # Reused tables: the construction phase is (measured) epsilon,
         # and linearization was skipped outright.
         assert stats.phase_seconds["build_tables"] < 1e-3
         assert stats.phase_seconds["linearize"] == 0.0
-        assert rt.records[-1].plan_source == "cache"
-        assert rt.records[-1].tables_reused == (True, True)
-        assert rt.records[-1].seconds_saved > 0
+        assert record.plan_source == "cache"
+        assert record.tables_reused == (True, True)
+        assert record.seconds_saved > 0
 
     def test_return_stats_shape(self, tensors):
         a, b, pairs = tensors

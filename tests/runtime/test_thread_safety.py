@@ -183,18 +183,20 @@ class TestSharedRuntimeConcurrency:
         return out
 
     def test_concurrent_contracts_are_correct_and_recorded(self, problems):
-        runtime = ContractionRuntime(machine=DESKTOP, calibrate=False)
+        runtime = ContractionRuntime(machine=DESKTOP)
         expected = [contract(a, b, list(p)) for a, b, p in problems]
         repeats = 6
         failures = []
+        records = []
 
         def worker(k):
             a, b, p = problems[k % len(problems)]
             want = expected[k % len(problems)]
             for _ in range(repeats):
                 out, record = runtime.contract(a, b, p, return_record=True)
-                # return_record hands back THIS call's record — under
-                # concurrency, indexing runtime.records would not.
+                # return_record hands back THIS call's record, even
+                # while other threads' calls interleave with it.
+                records.append(record)
                 if record.output_nnz != want.nnz:
                     failures.append("wrong record")
                 if not (
@@ -205,4 +207,8 @@ class TestSharedRuntimeConcurrency:
 
         run_threads(worker, n=6)
         assert not failures
-        assert len(runtime.records) == 6 * repeats
+        metrics = runtime.metrics()
+        assert metrics["calls"] == 6 * repeats
+        assert metrics["measured_seconds"] == pytest.approx(
+            sum(r.seconds for r in records)
+        )

@@ -138,6 +138,34 @@ class TestMetricsMerge:
     def test_empty_input(self):
         assert merge_metrics_json([]) == {}
 
+    def test_cse_hit_rate_recomputed(self):
+        def shard(hits, misses):
+            return {"network": {
+                "cse_hits": hits, "cse_misses": misses,
+                "cse_hit_rate": hits / (hits + misses),
+            }}
+
+        merged = merge_metrics_json([shard(1, 1), shard(1, 1)])
+        assert merged["network"]["cse_hit_rate"] == pytest.approx(0.5)
+        merged = merge_metrics_json([shard(3, 1), shard(0, 4)])
+        assert merged["network"]["cse_hit_rate"] == pytest.approx(3 / 8)
+
+    def test_mean_modeled_fraction_weighted_by_deltas(self):
+        def shard(deltas, mean):
+            return {"streaming": {
+                "streams": [], "deltas_applied": deltas,
+                "mean_modeled_fraction": mean, "tracker": {},
+            }}
+
+        a, b = shard(3, 0.1), shard(1, 0.5)
+        merged = merge_metrics_json([a, b])
+        assert merged["streaming"]["mean_modeled_fraction"] == pytest.approx(
+            (3 * 0.1 + 1 * 0.5) / 4
+        )
+        solo = merge_metrics_json([a])
+        with_empty_peer = merge_metrics_json([a, shard(0, 0.0)])
+        assert_docs_close(solo, with_empty_peer)
+
     def test_disagreeing_labels_become_mixed(self):
         a = dict(SNAPSHOTS[0])
         b = dict(SNAPSHOTS[1])

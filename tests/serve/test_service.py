@@ -93,7 +93,7 @@ class TestDegradationLadder:
         """Rung 1: a warm plan under the request's signature is replayed
         — numerically identical to the undegraded path."""
         a, b = operands
-        runtime = ContractionRuntime(machine=DESKTOP, calibrate=False)
+        runtime = ContractionRuntime(machine=DESKTOP)
         expected, _ = runtime.contract(a, b, [(1, 0)], return_record=True)
         service = ContractionService(
             machine=DESKTOP,
@@ -210,8 +210,7 @@ class TestAffinityBatching:
 
         # FIFO baseline: the interleaved stream through a one-entry
         # cache alternates signatures, evicting before every reuse.
-        fifo = ContractionRuntime(machine=DESKTOP, cache_size=1,
-                                  calibrate=False)
+        fifo = ContractionRuntime(machine=DESKTOP, cache_size=1)
         for r in requests:
             fifo.contract(r.left, r.right, r.pairs)
         assert fifo.plan_cache.hit_rate == 0.0

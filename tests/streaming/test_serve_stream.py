@@ -68,6 +68,19 @@ class TestStreamRequest:
         assert Request.stream("s", "query", name="q7").name == "q7"
 
 
+class TestServiceStreamConfig:
+    @pytest.mark.parametrize("knobs, message", [
+        ({"stream_log_maxlen": 0}, "log_maxlen must be >= 1"),
+        ({"stream_staleness_threshold": 0.0}, "staleness_threshold must be in"),
+        ({"stream_staleness_threshold": 1.5}, "staleness_threshold must be in"),
+    ])
+    def test_engine_refusals_refuse_construction(self, knobs, message):
+        # The engine is built lazily on the first stream request; a knob
+        # it would refuse must fail the service up front instead.
+        with pytest.raises(ConfigError, match=message):
+            ContractionService(DESKTOP, ServiceConfig(**knobs))
+
+
 class TestServiceStream:
     @pytest.fixture()
     def service(self):

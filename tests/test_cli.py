@@ -121,12 +121,11 @@ class TestBatchCommand:
         assert "cost-model calibration over 2 runs" in out
 
     def test_repeat_flag_multiplies_steps(self, capsys):
-        rc = main(["batch", "uber_123", "--repeat", "3", "--no-calibrate"])
+        rc = main(["batch", "uber_123", "--repeat", "3"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "batch of 3 contractions" in out
         assert "plan cache: 2 hits / 1 misses" in out
-        assert "calibration" not in out
 
     def test_cache_file_round_trip(self, tmp_path, capsys):
         """Plans persisted by one invocation pre-warm the next."""
