@@ -32,7 +32,7 @@ from repro.errors import ConfigError, WorkspaceLimitError
 from repro.hashing.open_addressing import OpenAddressingMap
 from repro.hashing.slice_table import SliceTable
 from repro.util.arrays import INDEX_DTYPE
-from repro.util.groups import group_boundaries, grouped_cartesian
+from repro.util.groups import group_boundaries, grouped_cartesian, sort_by
 
 __all__ = ["contract_untiled", "ci_contract", "cm_contract", "co_contract"]
 
@@ -102,9 +102,7 @@ def ci_contract(
         lo, hi = int(starts_l[pos]), int(starts_l[pos] + counts_l[pos])
         fiber_c = l_con[lo:hi]
         fiber_v = l_vals[lo:hi]
-        order = np.argsort(fiber_c, kind="stable")
-        fiber_c = fiber_c[order]
-        fiber_v = fiber_v[order]
+        fiber_c, fiber_v = sort_by(fiber_c, fiber_v)
         # One conceptual query per (l, r) slice pair (Algorithm 2's loop
         # structure) and a full scan of the right tensor's nonzeros.
         counters.hash_queries += 1 + num_r_slices

@@ -30,7 +30,7 @@ from repro.core.plan import LinearizedOperand
 from repro.errors import ConfigError, ShapeError
 from repro.hashing.slice_table import SliceTable
 from repro.util.arrays import INDEX_DTYPE, ceil_div
-from repro.util.groups import grouped_cartesian
+from repro.util.groups import group_boundaries, grouped_cartesian, sort_by
 
 __all__ = ["tiled_cm_contract"]
 
@@ -60,18 +60,16 @@ def tiled_cm_contract(
     # c-indexed table (as the tiled CO scheme does for both operands).
     tile_of = right.ext // np.int64(tile_r)
     tiles: list[SliceTable | None] = [None] * n_tiles
-    order = np.argsort(tile_of, kind="stable")
-    from repro.util.groups import group_boundaries
-
-    t_sorted = tile_of[order]
+    t_sorted, r_con, r_ext, r_vals = sort_by(
+        tile_of, right.con, right.ext, right.values
+    )
     tile_ids, offsets = group_boundaries(t_sorted)
     for g in range(tile_ids.shape[0]):
         lo, hi = int(offsets[g]), int(offsets[g + 1])
-        sel = order[lo:hi]
         tiles[int(tile_ids[g])] = SliceTable(
-            right.con[sel],
-            right.ext[sel] % np.int64(tile_r),
-            right.values[sel],
+            r_con[lo:hi],
+            r_ext[lo:hi] % np.int64(tile_r),
+            r_vals[lo:hi],
             counters=counters,
         )
 

@@ -129,7 +129,13 @@ def contract(
 
     t0 = time.perf_counter()
     left_op = spec.linearize_left(left).sum_duplicates()
-    right_op = spec.linearize_right(right).sum_duplicates()
+    if right is left and all(a == b for a, b in spec.pairs):
+        # Same tensor, same contracted modes: both sides linearize to the
+        # same operand, so the right side reuses it (and the kernel then
+        # builds its tables once).
+        right_op = left_op
+    else:
+        right_op = spec.linearize_right(right).sum_duplicates()
     linearize_seconds = time.perf_counter() - t0
 
     if plan is not None:

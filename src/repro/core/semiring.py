@@ -27,7 +27,7 @@ from repro.core.plan import ContractionSpec
 from repro.errors import ConfigError
 from repro.hashing.slice_table import SliceTable
 from repro.tensors.coo import COOTensor
-from repro.util.groups import group_boundaries, grouped_cartesian
+from repro.util.groups import group_boundaries, grouped_cartesian, sort_by
 
 __all__ = [
     "Semiring",
@@ -122,9 +122,9 @@ def semiring_contract(
     contrib = semiring.multiply(l_vals[ia], r_vals[ib])
     counters.accum_updates += int(contrib.shape[0])
 
-    order = np.argsort(out_keys, kind="stable")
-    sorted_keys = out_keys[order]
-    sorted_vals = np.asarray(contrib, dtype=np.float64)[order]
+    sorted_keys, sorted_vals = sort_by(
+        out_keys, np.asarray(contrib, dtype=np.float64)
+    )
     uniq, offsets = group_boundaries(sorted_keys)
     sums = semiring.add.reduceat(sorted_vals, offsets[:-1])
 
@@ -141,10 +141,7 @@ def _reduce_duplicates(op, semiring: Semiring, con_extent: int):
     """⊕-combine duplicate (ext, con) entries of a linearized operand."""
     if op.nnz == 0 or semiring is PLUS_TIMES:
         return op.sum_duplicates()
-    combined = op.ext * np.int64(op.con_extent) + op.con
-    order = np.argsort(combined, kind="stable")
-    skeys = combined[order]
-    svals = op.values[order]
+    skeys, svals = sort_by(op.ext * np.int64(op.con_extent) + op.con, op.values)
     uniq, offsets = group_boundaries(skeys)
     vals = semiring.add.reduceat(svals, offsets[:-1])
     from repro.core.plan import LinearizedOperand

@@ -40,7 +40,12 @@ from repro.hashing.slice_table import SliceTable
 from repro.parallel.memory_pool import COOBuilder
 from repro.parallel.taskqueue import TaskQueue
 from repro.util.arrays import ceil_div
-from repro.util.groups import grouped_cartesian
+from repro.util.groups import (
+    group_boundaries,
+    grouped_cartesian,
+    sort_by,
+    stable_argsort,
+)
 
 __all__ = [
     "TiledTables",
@@ -98,16 +103,16 @@ def build_tiled_tables(
     if operand.nnz == 0:
         return TiledTables(tile, num_tiles, tables, 0)
 
+    # One sort on (tile, con): each tile's run then arrives in key order,
+    # so its SliceTable only checks that.  Ties keep operand order — the
+    # same permutation as a stable tile sort then a stable con sort per
+    # tile.
     tile_of = operand.ext // np.int64(tile)
-    intra = operand.ext % np.int64(tile)
-    order = np.argsort(tile_of, kind="stable")
-    sorted_tiles = tile_of[order]
-    sorted_intra = intra[order]
-    sorted_con = operand.con[order]
-    sorted_vals = operand.values[order]
-
-    from repro.util.groups import group_boundaries
-
+    _, sorted_tiles, sorted_ext, sorted_con, sorted_vals = sort_by(
+        tile_of * np.int64(operand.con_extent) + operand.con,
+        tile_of, operand.ext, operand.con, operand.values,
+    )
+    sorted_intra = sorted_ext % np.int64(tile)
     tile_ids, offsets = group_boundaries(sorted_tiles)
 
     def make_task(g: int):
@@ -140,7 +145,17 @@ def build_tiled_tables_pair(
     The paper's Section 4.2: half the threads construct ``HL`` while
     the other half construct ``HR`` (OpenMP nested parallel regions).
     With one worker the two builds simply run back to back.
+
+    A self-contraction whose two sides linearize to the same operand
+    object (``right is left``) at the same tile size builds once, with
+    the whole team, and returns that one :class:`TiledTables` twice —
+    the tables are read-only once built.
     """
+    if right is left and tile_l == tile_r:
+        shared = build_tiled_tables(
+            left, tile_l, n_workers=n_workers, counters=counters
+        )
+        return shared, shared
     if n_workers <= 1:
         return (
             build_tiled_tables(left, tile_l, counters=counters),
@@ -396,7 +411,9 @@ def tiled_co_contract(
             [hl.tables[i].nnz * hr.tables[j].nnz for i, j in pairs_order],
             dtype=np.int64,
         )
-        pairs_order = [pairs_order[k] for k in np.argsort(-weights, kind="stable")]
+        order = stable_argsort(-weights)
+        if order is not None:
+            pairs_order = [pairs_order[k] for k in order]
     tasks = [make_task(i, j) for i, j in pairs_order]
     counters.tasks += len(tasks)
     stats.num_tasks = len(tasks)

@@ -23,7 +23,7 @@ from repro.analysis.counters import Counters, ensure_counters
 from repro.errors import ShapeError
 from repro.hashing.hash_functions import splitmix64
 from repro.util.arrays import INDEX_DTYPE, as_index_array, next_power_of_two
-from repro.util.groups import group_boundaries
+from repro.util.groups import group_boundaries, sort_by
 
 __all__ = ["ChainingMultiMap"]
 
@@ -84,25 +84,25 @@ class ChainingMultiMap:
         buckets = (self._hash(keys) & mask).astype(INDEX_DTYPE)
 
         base = self._size
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        entry_ids = base + np.arange(n, dtype=INDEX_DTYPE)
+        sorted_buckets, sorted_ids = sort_by(
+            buckets, base + np.arange(n, dtype=INDEX_DTYPE)
+        )
 
         new_next = np.empty(n, dtype=INDEX_DTYPE)
         uniq_buckets, offsets = group_boundaries(sorted_buckets)
         # Within a bucket group, entry i links to entry i-1; the group's
         # first entry links to the pre-existing head.
-        new_next[1:] = entry_ids[order][:-1]
+        new_next[1:] = sorted_ids[:-1]
         starts = offsets[:-1]
         new_next[starts] = self._heads[uniq_buckets]
         # New heads are each group's last entry.
-        new_heads = entry_ids[order][offsets[1:] - 1]
+        new_heads = sorted_ids[offsets[1:] - 1]
 
         # Commit: extend entry storage, then splice the heads.
         self._keys = np.concatenate([self._keys, keys])
         self._values = np.concatenate([self._values, values])
         spliced_next = np.empty(n, dtype=INDEX_DTYPE)
-        spliced_next[order] = new_next
+        spliced_next[sorted_ids - base] = new_next
         self._next = np.concatenate([self._next, spliced_next])
         self._heads[uniq_buckets] = new_heads
         self._size += n

@@ -29,7 +29,7 @@ from repro.analysis.counters import Counters, ensure_counters
 from repro.errors import CapacityError, ConfigError, FormatError, ShapeError
 from repro.hashing.hash_functions import splitmix64
 from repro.util.arrays import INDEX_DTYPE, as_index_array, next_power_of_two
-from repro.util.groups import segment_sum
+from repro.util.groups import segment_sum, sort_by
 
 __all__ = ["OpenAddressingMap", "EMPTY_KEY"]
 
@@ -124,9 +124,8 @@ class OpenAddressingMap:
 
     def items_sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored ``(keys, values)``, sorted by key."""
-        keys, values = self.items()
-        order = np.argsort(keys, kind="stable")
-        return keys[order], values[order]
+        keys, values = sort_by(*self.items())
+        return keys, values
 
     # ------------------------------------------------------------------
     # Internal probing machinery

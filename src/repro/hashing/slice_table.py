@@ -3,7 +3,8 @@
 The loop-order analysis of Section 3 represents each input tensor as a
 map such as ``HL: C -> P(L x V)`` — from a contraction index to the set
 of (external index, value) pairs in that slice.  ``SliceTable`` realizes
-this: payload arrays are sorted by key once at construction, and an
+this: payload arrays are sorted by key once at construction (a check
+and nothing more when they arrive in key order), and an
 open-addressing hash table maps each distinct key to its contiguous
 group, so a query returns array *views* of the whole slice.
 
@@ -21,7 +22,7 @@ from repro.analysis.counters import Counters, ensure_counters
 from repro.errors import ShapeError
 from repro.hashing.open_addressing import OpenAddressingMap
 from repro.util.arrays import INDEX_DTYPE, as_index_array, as_value_array
-from repro.util.groups import group_boundaries
+from repro.util.groups import group_boundaries, sort_by
 
 __all__ = ["SliceTable"]
 
@@ -61,11 +62,10 @@ class SliceTable:
         self.counters = ensure_counters(counters)
         self.nnz = int(keys.shape[0])
 
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        self._idx = idx[order]
-        self._values = values[order]
-        self._group_keys, self._offsets = group_boundaries(sorted_keys)
+        keys, idx, values = sort_by(keys, idx, values)
+        self._idx = idx
+        self._values = values
+        self._group_keys, self._offsets = group_boundaries(keys)
 
         n_groups = self._group_keys.shape[0]
         self._lookup = OpenAddressingMap(

@@ -76,11 +76,14 @@ def _lin_key(role: str, spec: ContractionSpec) -> tuple:
     contracted left modes; ditto on the right (the contraction-index
     linearizer's extents are the paired extents, equal on both sides by
     construction).  Two contractions agreeing on this key produce
-    byte-identical linearizations for that operand.
+    byte-identical linearizations for that operand — whichever side it
+    is on, so the key carries no role: a tensor contracted with itself
+    over the same modes on both sides shares one linearization and one
+    set of tiled tables between its two roles.
     """
     if role == "L":
-        return ("L", spec.left_shape, tuple(a for a, _ in spec.pairs))
-    return ("R", spec.right_shape, tuple(b for _, b in spec.pairs))
+        return (spec.left_shape, tuple(a for a, _ in spec.pairs))
+    return (spec.right_shape, tuple(b for _, b in spec.pairs))
 
 
 @dataclass

@@ -36,7 +36,7 @@ from repro.tensors.csf import CSFTensor
 from repro.tensors.hicoo import HiCOOTensor
 from repro.tensors.linearize import ModeLinearizer
 from repro.util.arrays import as_index_array, as_value_array
-from repro.util.groups import group_boundaries
+from repro.util.groups import group_boundaries, sort_by
 
 __all__ = ["DELETE", "INSERT", "UPDATE", "DeltaBatch", "MutationLog", "apply_delta"]
 
@@ -230,11 +230,8 @@ class DeltaBatch:
             )
             out._canonical = True
             return out
-        lin = self.linearized()
-        order = np.argsort(lin, kind="stable")  # stable: keeps batch order per coord
-        slin = lin[order]
-        skinds = self.kinds[order]
-        svals = self.values[order]
+        # Stable: keeps batch order per coordinate.
+        slin, skinds, svals = sort_by(self.linearized(), self.kinds, self.values)
         uniq, offsets = group_boundaries(slin)
         n_groups = uniq.shape[0]
         counts = np.diff(offsets)

@@ -53,6 +53,7 @@ from repro.runtime.signature import signature_for
 from repro.streaming.delta import DeltaBatch, MutationLog
 from repro.streaming.version import DependencyTracker
 from repro.tensors.coo import COOTensor
+from repro.util.groups import sort_by
 
 __all__ = ["IncrementalEngine", "StreamState", "StreamStats", "check_stream_knobs"]
 
@@ -316,12 +317,10 @@ class IncrementalEngine:
         columns stay index-aligned (patching relies on it).
         """
         combined = l_idx * np.int64(state.spec.R) + r_idx
-        order = np.argsort(combined, kind="stable")
-        state.l_idx = l_idx[order]
-        state.r_idx = r_idx[order]
-        state.values = values[order]
+        combined, l_idx, r_idx, values = sort_by(combined, l_idx, r_idx, values)
+        state.l_idx, state.r_idx, state.values = l_idx, r_idx, values
         out = state.spec.delinearize_output(state.l_idx, state.r_idx, state.values)
-        if combined.size > 1 and not np.all(np.diff(combined[order]) > 0):
+        if combined.size > 1 and not np.all(np.diff(combined) > 0):
             # Colliding output keys (no tiled kernel produces these, but
             # a foreign backend could): canonicalize the slow way and
             # re-derive the rows so alignment holds.
@@ -353,9 +352,8 @@ class IncrementalEngine:
         tile patches; kept for safety).
         """
         R = np.int64(state.spec.R)
-        order = np.argsort(l_new * R + r_new, kind="stable")
-        l_new, r_new, v_new = l_new[order], r_new[order], v_new[order]
         new_combined = l_new * R + r_new
+        new_combined, l_new, r_new, v_new = sort_by(new_combined, l_new, r_new, v_new)
         kept_l = state.l_idx[keep]
         kept_r = state.r_idx[keep]
         kept_combined = kept_l * R + kept_r
@@ -414,9 +412,8 @@ class IncrementalEngine:
         interleave through the store.)
         """
         R = np.int64(state.spec.R)
-        order = np.argsort(l_new * R + r_new, kind="stable")
-        l_new, r_new, v_new = l_new[order], r_new[order], v_new[order]
         new_combined = l_new * R + r_new
+        new_combined, l_new, r_new, v_new = sort_by(new_combined, l_new, r_new, v_new)
         tiles = np.sort(touched)
         in_touched = np.isin(l_new // np.int64(tile), tiles)
         if (

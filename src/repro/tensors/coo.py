@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ShapeError, WorkspaceLimitError
 from repro.tensors.linearize import ModeLinearizer
 from repro.util.arrays import VALUE_DTYPE, as_index_array, as_value_array
-from repro.util.groups import group_boundaries
+from repro.util.groups import group_boundaries, sort_by
 
 __all__ = ["COOTensor"]
 
@@ -171,11 +171,8 @@ class COOTensor:
         """
         if self.nnz == 0:
             return COOTensor(self.coords.copy(), self.values.copy(), self.shape, check=False)
-        lin = self.linearized()
-        order = np.argsort(lin, kind="stable")
-        slin = lin[order]
-        svals = self.values[order]
-        uniq, offsets = group_boundaries(slin)
+        lin, svals = sort_by(self.linearized(), self.values)
+        uniq, offsets = group_boundaries(lin)
         sums = np.add.reduceat(svals, offsets[:-1])
         coords = ModeLinearizer(self.shape).decode(uniq)
         if drop_zeros:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.tensors.coo import COOTensor
 from repro.util.arrays import INDEX_DTYPE
-from repro.util.groups import group_boundaries
+from repro.util.groups import group_boundaries, sort_by
 
 __all__ = ["HiCOOTensor"]
 
@@ -96,8 +96,9 @@ class HiCOOTensor:
 
         lin = ModeLinearizer([max(1, e) for e in block_extents])
         block_ids = lin.encode(block)
-        order = np.argsort(block_ids, kind="stable")
-        sorted_ids = block_ids[order]
+        sorted_ids, block, within, values = sort_by(
+            block_ids, block, within, canonical.values
+        )
         uniq, offsets = group_boundaries(sorted_ids)
         starts = offsets[:-1]
 
@@ -105,9 +106,9 @@ class HiCOOTensor:
             tensor.shape,
             block_bits,
             offsets.astype(INDEX_DTYPE),
-            block[:, order][:, starts].copy(),
-            within[:, order].copy(),
-            canonical.values[order].copy(),
+            block[:, starts].copy(),
+            within.copy(),
+            values.copy(),
         )
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.arrays import INDEX_DTYPE, ceil_div
+from repro.util.groups import stable_argsort
 
 __all__ = ["PackedBitmask"]
 
@@ -72,11 +73,13 @@ class PackedBitmask:
         if not fresh.any():
             return fresh
         # First occurrence per duplicated position among the fresh ones.
-        order = np.argsort(positions, kind="stable")
-        sorted_pos = positions[order]
+        order = stable_argsort(positions)
+        sorted_pos = positions if order is None else positions[order]
         first_in_run = np.empty(positions.shape[0], dtype=bool)
         first_in_run[0] = True
         np.not_equal(sorted_pos[1:], sorted_pos[:-1], out=first_in_run[1:])
+        if order is None:
+            return fresh & first_in_run
         is_first = np.zeros(positions.shape[0], dtype=bool)
         is_first[order] = first_in_run
         return fresh & is_first

@@ -1,8 +1,8 @@
 """Vectorized grouped-index kernels.
 
 These are the computational primitives behind every contraction scheme in
-the library: finding group boundaries in sorted key arrays, matching two
-sorted key sets (the hash-join of the CO scheme), expanding the cartesian
+the library: the one stable sort everything else goes through, finding
+group boundaries in sorted key arrays, matching two sorted key sets (the hash-join of the CO scheme), expanding the cartesian
 product of matched groups (the per-``c`` outer products of Algorithm 4),
 and segment summation (workspace accumulation).
 
@@ -19,11 +19,85 @@ import numpy as np
 from repro.util.arrays import INDEX_DTYPE
 
 __all__ = [
+    "stable_argsort",
+    "sort_by",
     "group_boundaries",
     "match_sorted_keys",
     "grouped_cartesian",
     "segment_sum",
 ]
+
+
+#: Below this many presorted runs NumPy's timsort (``kind="stable"``)
+#: merges the runs in close to linear time and beats a fresh sort.
+TIMSORT_MAX_RUNS = 16
+
+#: From this mean presorted-run length up, timsort wins however many
+#: runs there are: long runs are typically disjoint blocks (tile-ordered
+#: kernel output, a streamed store), which its galloping merge copies
+#: rather than compares.
+TIMSORT_MIN_RUN_LENGTH = 1024
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray | None:
+    """``np.argsort(keys, kind="stable")``, or ``None`` if already sorted.
+
+    ``None`` stands for the identity permutation: ``keys`` is
+    nondecreasing (which includes empty and length-1 arrays), so the
+    caller can skip its gathers.  Otherwise the result is exactly the
+    stable permutation, picked by the cheapest exact route:
+
+    * fewer than :data:`TIMSORT_MAX_RUNS` presorted runs (counted in one
+      O(n) descent pass), or runs of :data:`TIMSORT_MIN_RUN_LENGTH` or
+      more on average: NumPy's stable sort, which merges few or long
+      runs in near-linear time;
+    * other integer keys: NumPy's default (unstable, SIMD) argsort of
+      the distinct int64 key ``(keys - min) * n + position``.  No two
+      elements compare equal, so every correct sort returns the one
+      permutation that orders ties by position — the stable one;
+    * non-integer keys, or a key span whose ``span * n`` would overflow
+      int64: NumPy's stable sort.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    if n < 2:
+        return None
+    # Count steps that are *not* ascending, so a NaN breaks a run.
+    runs = n - int(np.count_nonzero(keys[1:] >= keys[:-1]))
+    if runs == 1:
+        return None
+    if (
+        runs < TIMSORT_MAX_RUNS
+        or n >= TIMSORT_MIN_RUN_LENGTH * runs
+        or keys.dtype.kind not in "iu"
+    ):
+        return np.argsort(keys, kind="stable")
+    lo = keys.min()
+    span = int(keys.max()) - int(lo)
+    if (span + 1) * n > _INT64_MAX:
+        return np.argsort(keys, kind="stable")
+    if keys.dtype.kind == "u":
+        distinct = (keys - lo).astype(np.int64)
+    else:
+        distinct = keys.astype(np.int64) - np.int64(lo)
+    distinct *= np.int64(n)
+    distinct += np.arange(n, dtype=np.int64)
+    return np.argsort(distinct)
+
+
+def sort_by(keys: np.ndarray, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stable-sort ``keys`` and gather ``cols`` along their last axis.
+
+    Returns ``(sorted_keys, *sorted_cols)``.  Already-sorted keys come
+    back as the very arrays passed in, with no gather; callers that go
+    on to mutate the results must copy them first.
+    """
+    order = stable_argsort(keys)
+    if order is None:
+        return (keys, *cols)
+    return (keys[order], *(col[..., order] for col in cols))
 
 
 def group_boundaries(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +205,7 @@ def segment_sum(
         raise ValueError("keys and values must have the same shape")
     if keys.size == 0:
         return keys[:0].copy(), values[:0].copy()
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
-    svals = values[order]
-    uniq, offsets = group_boundaries(skeys)
-    sums = np.add.reduceat(svals, offsets[:-1])
+    keys, values = sort_by(keys, values)
+    uniq, offsets = group_boundaries(keys)
+    sums = np.add.reduceat(values, offsets[:-1])
     return uniq, sums

@@ -107,6 +107,68 @@ class TestSelfContract:
         assert out.ndim == 2
 
 
+def tensor_with_duplicates(shape, nnz, seed):
+    """A COO tensor whose coordinates each appear twice."""
+    t = random_coo(shape, nnz=nnz, seed=seed)
+    coords = np.concatenate([t.coords, t.coords[:, ::-1]], axis=1)
+    values = np.concatenate([t.values, 2.0 * t.values])
+    return COOTensor(coords, values, shape)
+
+
+def counted_builds(monkeypatch):
+    """Count per-operand table builds inside the kernel."""
+    from repro.core import tiled_co
+
+    calls = []
+    original = tiled_co.build_tiled_tables
+
+    def counting(operand, tile, **kw):
+        calls.append(operand)
+        return original(operand, tile, **kw)
+
+    monkeypatch.setattr(tiled_co, "build_tiled_tables", counting)
+    return calls
+
+
+class TestSelfOperandSharing:
+    """``contract(t, t, ...)`` over the same modes on both sides
+    linearizes and tables ``t`` once, with the same bits and counts as
+    contracting against a copy."""
+
+    KERNEL_COUNTS = (
+        "hash_queries", "data_volume", "accum_updates", "output_nnz", "tasks"
+    )
+
+    @pytest.mark.parametrize("modes", [[1], [1, 2], [0, 2]])
+    @pytest.mark.parametrize("accumulator", ["dense", "sparse"])
+    def test_bit_identical_to_a_copy(self, monkeypatch, modes, accumulator):
+        t = tensor_with_duplicates((9, 7, 8), nnz=120, seed=21)
+        pairs = [(m, m) for m in modes]
+        builds = counted_builds(monkeypatch)
+        c_self, c_copy = Counters(), Counters()
+        shared = contract(t, t, pairs, counters=c_self, accumulator=accumulator)
+        assert len(builds) == 1
+        copied = contract(
+            t, t.copy(), pairs, counters=c_copy, accumulator=accumulator
+        )
+        assert len(builds) == 3
+        assert shared.coords.tobytes() == copied.coords.tobytes()
+        assert shared.values.tobytes() == copied.values.tobytes()
+        for name in self.KERNEL_COUNTS:
+            assert getattr(c_self, name) == getattr(c_copy, name), name
+
+    def test_swapped_modes_are_not_shared(self, monkeypatch):
+        t = tensor_with_duplicates((6, 6, 4), nnz=60, seed=22)
+        builds = counted_builds(monkeypatch)
+        out = contract(t, t, [(0, 1), (1, 0)])
+        assert len(builds) == 2
+        assert builds[0] is not builds[1]
+        dense = t.to_dense()
+        np.testing.assert_allclose(
+            out.to_dense(), np.einsum("abk,bal->kl", dense, dense), rtol=1e-12
+        )
+
+
 class TestStatsAndOverrides:
     def test_return_stats(self):
         a = random_coo((20, 20), nnz=50, seed=17)

@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.counters import Counters
 from repro.core.model import choose_plan
-from repro.core.plan import ContractionSpec
-from repro.core.tiled_co import build_tiled_tables, tiled_co_contract
+from repro.core.plan import ContractionSpec, LinearizedOperand
+from repro.core.tiled_co import (
+    build_tiled_tables,
+    build_tiled_tables_pair,
+    tiled_co_contract,
+)
 from repro.data.random_tensors import random_operand_pair
 from repro.errors import WorkspaceLimitError
 from repro.machine.specs import DESKTOP
+from repro.util.groups import group_boundaries
 
 from tests.conftest import reference_product, triples_to_dense
 
@@ -21,7 +28,69 @@ def plan_for(left, right, **kw):
     return choose_plan(spec, left.nnz, right.nnz, DESKTOP, **kw)
 
 
+def two_sort_tables(operand: LinearizedOperand, tile: int) -> dict:
+    """Tables by the two-sort algorithm: a stable argsort by tile, then a
+    stable argsort by contraction index within each tile.  Returns
+    ``tile -> (keys, intra, values, group_sizes)``."""
+    tile_of = operand.ext // tile
+    order = np.argsort(tile_of, kind="stable")
+    tiles, intra = tile_of[order], (operand.ext % tile)[order]
+    con, vals = operand.con[order], operand.values[order]
+    tile_ids, offsets = group_boundaries(tiles)
+    out = {}
+    for g, t in enumerate(tile_ids):
+        sl = slice(offsets[g], offsets[g + 1])
+        by_con = np.argsort(con[sl], kind="stable")
+        keys, key_offsets = group_boundaries(con[sl][by_con])
+        out[int(t)] = (
+            keys, intra[sl][by_con], vals[sl][by_con], np.diff(key_offsets)
+        )
+    return out
+
+
+@st.composite
+def dup_operands(draw):
+    """A linearized operand with duplicate (ext, con) entries, in any order."""
+    ext_extent = draw(st.integers(1, 40))
+    con_extent = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 150))
+    ext = draw(st.lists(st.integers(0, ext_extent - 1), min_size=n, max_size=n))
+    con = draw(st.lists(st.integers(0, con_extent - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # the deduplicated operands' ext-major order
+        pairs = sorted(zip(ext, con))
+        ext, con = [e for e, _ in pairs], [c for _, c in pairs]
+    return LinearizedOperand(
+        np.array(ext, dtype=np.int64),
+        np.array(con, dtype=np.int64),
+        np.arange(n, dtype=np.float64) + 0.5,  # distinct: order shows
+        ext_extent,
+        con_extent,
+    )
+
+
 class TestBuildTiledTables:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        operand=dup_operands(),
+        tile=st.integers(1, 16),
+        n_workers=st.sampled_from([1, 2]),
+    )
+    def test_same_bits_as_two_sort_build(self, operand, tile, n_workers):
+        built = build_tiled_tables(operand, tile, n_workers=n_workers)
+        want = two_sort_tables(operand, tile)
+        assert built.nonempty_tiles() == sorted(want)
+        for t, (keys, intra, vals, sizes) in want.items():
+            table = built.tables[t]
+            got_intra, got_vals = table.payload
+            for got, exp in [
+                (table.keys(), keys),
+                (got_intra, intra),
+                (got_vals, vals),
+                (table.group_sizes(), sizes),
+            ]:
+                assert got.dtype == exp.dtype
+                assert got.tobytes() == exp.tobytes()
+
     def test_partitioning(self, operand_pair):
         left, _ = operand_pair
         tables = build_tiled_tables(left, tile=16)
@@ -258,3 +327,28 @@ class TestTaskScheduling:
             left, right, plan, schedule="fifo"
         )
         assert fifo_stats.task_pairs == sorted(fifo_stats.task_pairs)
+
+
+class TestSharedBuild:
+    def test_same_operand_same_tile_builds_once(self, operand_pair):
+        left, _ = operand_pair
+        hl, hr = build_tiled_tables_pair(left, left, 8, 8)
+        assert hl is hr
+
+    def test_different_tiles_build_twice(self, operand_pair):
+        left, _ = operand_pair
+        hl, hr = build_tiled_tables_pair(left, left, 8, 16)
+        assert hl is not hr
+        assert (hl.tile, hr.tile) == (8, 16)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_equal_operands_that_are_distinct_objects_build_twice(
+        self, operand_pair, n_workers
+    ):
+        left, _ = operand_pair
+        twin = LinearizedOperand(
+            left.ext.copy(), left.con.copy(), left.values.copy(),
+            left.ext_extent, left.con_extent,
+        )
+        hl, hr = build_tiled_tables_pair(left, twin, 8, 8, n_workers=n_workers)
+        assert hl is not hr

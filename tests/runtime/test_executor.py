@@ -38,6 +38,17 @@ class TestRuntimeContract:
         assert rt.counters.plan_cache_hits == 1
         assert rt.counters.table_reuse_hits == 2
 
+    def test_self_contraction_builds_once(self):
+        t = random_coo((20, 12, 9), nnz=200, seed=7)
+        rt = ContractionRuntime()
+        out, record = rt.contract(t, t, [(1, 1), (2, 2)], return_record=True)
+        assert rt.counters.table_builds == 1
+        assert record.tables_reused == (False, True)
+        assert out.allclose(contract(t, t.copy(), [(1, 1), (2, 2)]))
+        rt.contract(t, t, [(1, 1), (2, 2)])
+        assert rt.counters.table_builds == 1
+        assert rt.counters.table_reuse_hits == 3
+
     def test_per_call_counters_merge(self, tensors):
         a, b, pairs = tensors
         rt = ContractionRuntime()
