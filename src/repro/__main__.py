@@ -434,6 +434,17 @@ def _audit_hazards(
     return out
 
 
+def _tuner_config(args):
+    """The ``TunerConfig`` the ``--autotune*`` flags select, or ``None``."""
+    if not args.autotune:
+        return None
+    from repro.autotune import TunerConfig
+
+    return TunerConfig(
+        explore_rate=args.autotune_rate, state_path=args.autotune_state
+    )
+
+
 def _serve_backend(args, machine, config):
     """The serving backend the CLI flags select.
 
@@ -503,9 +514,7 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         default_deadline_s=args.deadline,
         backend=args.backend or "numpy",
-        autotune=args.autotune,
-        autotune_explore_rate=args.autotune_rate,
-        autotune_state_path=args.autotune_state,
+        autotune=_tuner_config(args),
     )
     requests = synthetic_requests(
         args.requests,
@@ -565,9 +574,7 @@ def _serve_demo(args, machine) -> int:
         queue_capacity=capacity, policy="shed_oldest",
         n_workers=args.workers, max_batch=args.max_batch,
         backend=args.backend or "numpy",
-        autotune=args.autotune,
-        autotune_explore_rate=args.autotune_rate,
-        autotune_state_path=args.autotune_state,
+        autotune=_tuner_config(args),
     )
     requests = synthetic_requests(n, n_signatures=3, seed=args.seed)
     # try/finally rather than ``with``: Ctrl-C during the demo must

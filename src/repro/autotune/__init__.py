@@ -20,7 +20,7 @@ Layering::
 See ``docs/autotune.md`` for the serving-side guardrails.
 """
 
-from repro.autotune.bandit import BanditConfig, BanditPolicy, PromotionDecision
+from repro.autotune.bandit import BanditPolicy, PromotionDecision
 from repro.autotune.candidates import (
     CHAMPION_ARM,
     Candidate,
@@ -35,7 +35,6 @@ from repro.autotune.tuner import OnlineTuner, TunerConfig
 __all__ = [
     "ArmStats",
     "AutotuneState",
-    "BanditConfig",
     "BanditPolicy",
     "CHAMPION_ARM",
     "Candidate",

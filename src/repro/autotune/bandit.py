@@ -27,48 +27,16 @@ measurements exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.autotune.measurements import ArmStats
-from repro.errors import ConfigError
 
-__all__ = ["BanditConfig", "BanditPolicy", "PromotionDecision"]
+if TYPE_CHECKING:
+    from repro.autotune.tuner import TunerConfig
 
-
-@dataclass(frozen=True)
-class BanditConfig:
-    """Guardrail knobs of one :class:`BanditPolicy`.
-
-    Every bound here is lintable (``FSTC6xx``): an exploration rate
-    above 0.5 means the *exploration* is the workload, a zero promotion
-    margin lets measurement noise oscillate the champion, and a trials
-    floor below 2 promotes on a single sample.
-    """
-
-    explore_rate: float = 0.05
-    min_trials: int = 3
-    promote_margin: float = 0.10
-    rollback_margin: float = 0.25
-    cooldown: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.explore_rate <= 1.0:
-            raise ConfigError(
-                f"explore_rate must be in [0, 1], got {self.explore_rate}"
-            )
-        if self.min_trials < 1:
-            raise ConfigError(
-                f"min_trials must be >= 1, got {self.min_trials}"
-            )
-        if self.promote_margin < 0 or self.rollback_margin < 0:
-            raise ConfigError(
-                "promote_margin and rollback_margin must be >= 0, got "
-                f"{self.promote_margin}/{self.rollback_margin}"
-            )
-        if self.cooldown < 0:
-            raise ConfigError(f"cooldown must be >= 0, got {self.cooldown}")
+__all__ = ["BanditPolicy", "PromotionDecision"]
 
 
 @dataclass
@@ -96,11 +64,15 @@ class BanditPolicy:
     per-arm cooldown counters; all measured knowledge lives in the
     :class:`~repro.autotune.measurements.MeasurementStore` snapshot the
     caller passes in, which is what makes shard-merged stores usable
-    directly.
+    directly.  Its knobs are the guardrail fields of a
+    :class:`~repro.autotune.tuner.TunerConfig` (``explore_rate``,
+    ``min_trials``, ``promote_margin``, ``rollback_margin``,
+    ``cooldown``, ``seed``), range-checked at that config's
+    construction.
     """
 
-    def __init__(self, config: BanditConfig | None = None):
-        self.config = config if config is not None else BanditConfig()
+    def __init__(self, config: TunerConfig):
+        self.config = config
         self._rng = np.random.default_rng(self.config.seed)
         # Exploration ledger: eligible calls accrue fractional tokens,
         # each exploration spends one whole token.

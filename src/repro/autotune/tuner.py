@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 
-from repro.autotune.bandit import BanditConfig, BanditPolicy
+from repro.autotune.bandit import BanditPolicy
 from repro.autotune.candidates import (
     CHAMPION_ARM,
     Candidate,
@@ -41,23 +41,38 @@ from repro.autotune.measurements import MeasurementStore
 from repro.autotune.state import AutotuneState, ChampionRecord, PromotionEvent
 from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec
+from repro.errors import ConfigError
 from repro.machine.specs import MachineSpec
 from repro.runtime.plan_cache import CachedPlan
 from repro.runtime.signature import ProblemSignature
+from repro.staticcheck.diagnostics import Diagnostic, make_diagnostic
 
 __all__ = ["TunerConfig", "OnlineTuner"]
 
 
+#: Above this fraction of eligible traffic, exploration is the workload.
+MAX_SANE_EXPLORE_RATE = 0.5
+
+
 @dataclass(frozen=True)
 class TunerConfig:
-    """Tunables of one :class:`OnlineTuner`.
+    """Tunables of one :class:`OnlineTuner` (and of its bandit policy).
 
     ``explore_rate`` is the fraction of *eligible* calls that may run a
-    challenger; ``state_path`` enables persistence (unset, every
-    restart relearns from scratch — ``FSTC602`` warns about exactly
-    this); ``default_eligible`` is the exploration eligibility assumed
-    when no serving bracket is active (the serve layer always
-    brackets; direct runtime/bench users choose).
+    challenger; a challenger that beats the champion by
+    ``promote_margin`` over ``min_trials`` measured trials is promoted,
+    and rolled back when its trailing window regresses past
+    ``rollback_margin`` (the demoted arm then sits out ``cooldown``
+    picks).  ``state_path`` enables persistence (unset, every restart
+    relearns from scratch — ``FSTC602`` warns about exactly this);
+    ``default_eligible`` is the exploration eligibility assumed when no
+    serving bracket is active (the serve layer always brackets; direct
+    runtime/bench users choose).
+
+    Out-of-range values raise :class:`ConfigError` at construction;
+    in-range values that are unsafe to serve with are findings of
+    :meth:`diagnostics`, which :class:`~repro.serve.ContractionService`
+    refuses (errors) or keeps (warnings).
     """
 
     explore_rate: float = 0.05
@@ -73,17 +88,82 @@ class TunerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.bandit_config()  # range checks shared with the bandit
+        if not 0.0 <= self.explore_rate <= 1.0:
+            raise ConfigError(
+                f"explore_rate must be in [0, 1], got {self.explore_rate}"
+            )
+        if self.min_trials < 1:
+            raise ConfigError(
+                f"min_trials must be >= 1, got {self.min_trials}"
+            )
+        if self.promote_margin < 0 or self.rollback_margin < 0:
+            raise ConfigError(
+                "promote_margin and rollback_margin must be >= 0, got "
+                f"{self.promote_margin}/{self.rollback_margin}"
+            )
+        if self.cooldown < 0:
+            raise ConfigError(f"cooldown must be >= 0, got {self.cooldown}")
 
-    def bandit_config(self) -> BanditConfig:
-        return BanditConfig(
-            explore_rate=self.explore_rate,
-            min_trials=self.min_trials,
-            promote_margin=self.promote_margin,
-            rollback_margin=self.rollback_margin,
-            cooldown=self.cooldown,
-            seed=self.seed,
-        )
+    def diagnostics(
+        self, *, location: str = "autotune config"
+    ) -> list[Diagnostic]:
+        """``FSTC601``–``FSTC604`` findings for this configuration.
+
+        Online exploration spends real serving latency, so these are
+        production incidents waiting on traffic: a rate of zero never
+        learns and one above :data:`MAX_SANE_EXPLORE_RATE` makes
+        exploration the workload (``FSTC601``); unpersisted state
+        relearns from zero on every restart (``FSTC602``); a zero
+        margin lets noise flip the champion (``FSTC603``); a trials
+        floor of one promotes on a single sample (``FSTC604``).
+        """
+        out: list[Diagnostic] = []
+        rate = self.explore_rate
+        if rate <= 0.0:
+            out.append(make_diagnostic(
+                "FSTC601",
+                f"exploration rate {rate} can never explore; the tuner "
+                "records measurements but no challenger is ever tried",
+                hint="set explore_rate in (0, 0.5] or disable autotuning",
+                location=location,
+            ))
+        elif rate > MAX_SANE_EXPLORE_RATE:
+            out.append(make_diagnostic(
+                "FSTC601",
+                f"exploration rate {rate} makes exploration the workload "
+                f"(more than {MAX_SANE_EXPLORE_RATE:.0%} of eligible calls "
+                "would run challengers)",
+                hint=f"keep explore_rate at or below {MAX_SANE_EXPLORE_RATE}",
+                location=location,
+            ))
+        if self.state_path is None:
+            out.append(make_diagnostic(
+                "FSTC602",
+                "learned autotune state is not persisted; every restart "
+                "relearns from zero and shard workers cannot warm-start",
+                hint="set a state_path (or the router's cache_dir) so "
+                     "weights, measurements and champions survive restarts",
+                location=location,
+            ))
+        if self.promote_margin <= 0.0:
+            out.append(make_diagnostic(
+                "FSTC603",
+                f"promotion margin {self.promote_margin} promotes on any "
+                "mean difference; measurement noise would oscillate the "
+                "champion",
+                hint="require a strictly positive promote_margin "
+                     "(0.05-0.2 is a sane band)",
+                location=location,
+            ))
+        if self.min_trials < 2:
+            out.append(make_diagnostic(
+                "FSTC604",
+                f"trials floor {self.min_trials} promotes or rolls back on "
+                "a single wall-clock sample",
+                hint="set min_trials to at least 2 (3+ recommended)",
+                location=location,
+            ))
+        return out
 
 
 class _Eligibility(threading.local):
@@ -112,7 +192,7 @@ class OnlineTuner:
                 max_arms=self.config.max_arms,
             ),
         )
-        self.policy = BanditPolicy(self.config.bandit_config())
+        self.policy = BanditPolicy(self.config)
         self._runtime = None
         self._lock = threading.RLock()
         self._context = _Eligibility()

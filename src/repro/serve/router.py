@@ -59,6 +59,11 @@ from repro.serve.service import ServiceConfig
 from repro.serve.shard_worker import ShardSpec, shard_main
 from repro.serve.sharding import DEFAULT_REPLICAS, HashRing, suggest_weights
 from repro.serve.slo import merge_metrics_json
+from repro.staticcheck.diagnostics import (
+    Diagnostic,
+    make_diagnostic,
+    refuse_errors,
+)
 
 __all__ = ["ShardedConfig", "ShardRouter"]
 
@@ -98,6 +103,46 @@ class ShardedConfig:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
+
+    def diagnostics(
+        self, machine: MachineSpec, cpu_count: int | None = None
+    ) -> list[Diagnostic]:
+        """``FSTC304`` plus every finding of the shards' service config.
+
+        ``n_shards`` processes each running ``n_workers`` threads of
+        CPU-bound contraction work want ``n_shards x n_workers`` cores;
+        past ``cpu_count`` (default: the live ``os.cpu_count()``; tests
+        pass a fixed value) the shards time-slice against each other
+        (``FSTC304``; ``FSTC303`` judges one service against the
+        *modeled* machine, this judges the fleet against the *actual*
+        host).  ``FSTC602`` is dropped when ``cache_dir`` gives every
+        shard its own autotune state file.
+        """
+        out: list[Diagnostic] = []
+        n_workers = self.service.n_workers
+        cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
+        total = self.n_shards * max(1, n_workers)
+        if self.n_shards > 1 and total > cpus:
+            out.append(make_diagnostic(
+                "FSTC304",
+                f"{self.n_shards} shards x {n_workers} workers want {total} "
+                f"cores but the host has {cpus}; shards will time-slice "
+                "instead of scaling",
+                hint="size n_shards * n_workers at or below os.cpu_count(), "
+                     "or accept latency inflation on an oversubscribed host",
+                location="sharded config",
+                data={
+                    "n_shards": self.n_shards, "n_workers": n_workers,
+                    "cpus": cpus,
+                },
+            ))
+        out += [
+            d for d in self.service.diagnostics(
+                machine, location="sharded config: service"
+            )
+            if not (d.code == "FSTC602" and self.cache_dir is not None)
+        ]
+        return out
 
 
 class _Shard:
@@ -141,11 +186,11 @@ class _InFlight:
 class ShardRouter:
     """Consistent-hash front end over N shard worker processes.
 
-    Construction lints the sharded configuration
-    (:func:`repro.staticcheck.lint_shard_config`): oversubscription and
-    ring-balance findings land on ``config_diagnostics`` (warnings);
-    structurally broken configs raise :class:`ConfigError` before any
-    process spawns.
+    Construction refuses the error findings of
+    :meth:`ShardedConfig.diagnostics` — its own and its shards' service
+    config's — with :class:`ConfigError` before any process spawns;
+    warnings (oversubscription and the like) land on
+    ``config_diagnostics``.
     """
 
     def __init__(
@@ -153,17 +198,11 @@ class ShardRouter:
         machine: MachineSpec = DESKTOP,
         config: ShardedConfig | None = None,
     ):
-        from repro.staticcheck import has_errors, lint_shard_config
-
         self.machine = machine
         self.config = config if config is not None else ShardedConfig()
-        self.config_diagnostics = lint_shard_config(self.config)
-        if has_errors(self.config_diagnostics):
-            findings = "; ".join(
-                d.render() for d in self.config_diagnostics
-                if d.severity == "error"
-            )
-            raise ConfigError(f"refusing unsafe shard config: {findings}")
+        self.config_diagnostics = refuse_errors(
+            self.config.diagnostics(machine), "shard config"
+        )
 
         self._ctx = mp.get_context("spawn")
         self._shards: dict[int, _Shard] = {
@@ -199,7 +238,10 @@ class ShardRouter:
 
     def _autotune_path(self, shard_id: int) -> str | None:
         """Per-shard autotune state file (one writer per file)."""
-        if self.config.cache_dir is None or not self.config.service.autotune:
+        if (
+            self.config.cache_dir is None
+            or self.config.service.autotune is None
+        ):
             return None
         os.makedirs(self.config.cache_dir, exist_ok=True)
         return os.path.join(
@@ -598,7 +640,10 @@ class ShardRouter:
         """
         from repro.autotune import AutotuneState
 
-        if self.config.cache_dir is None or not self.config.service.autotune:
+        if (
+            self.config.cache_dir is None
+            or self.config.service.autotune is None
+        ):
             return None
         merged = AutotuneState(self.machine.name)
         found = False

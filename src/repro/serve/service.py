@@ -14,7 +14,7 @@ executor with the serving machinery the ROADMAP's traffic shape needs:
   shared :class:`~repro.runtime.ContractionRuntime`;
 * **deadline enforcement with a degradation ladder** — cooperative
   checks between pipeline stages, and when the remaining budget is
-  smaller than ``degrade_margin`` times the request's model-predicted
+  smaller than :data:`DEGRADE_MARGIN` times the request's model-predicted
   cost floor, the worker steps down the ladder instead of running the
   full pipeline:
 
@@ -32,12 +32,11 @@ executor with the serving machinery the ROADMAP's traffic shape needs:
   latency histograms, terminal status counts, queue stats and the
   runtime/network cache hit rates, exported as one JSON document.
 
-Construction lints the configuration through
-:func:`repro.staticcheck.lint_service_config` and — when autotuning is
-enabled — :func:`repro.staticcheck.lint_autotune_config`, refusing
-error-severity findings (``FSTC301``, ``FSTC601``, ``FSTC603``), so an
-unbounded queue or a runaway exploration rate can not reach
-production; warnings are kept on ``config_diagnostics``.
+Construction refuses the error-severity findings of
+:meth:`ServiceConfig.diagnostics` (``FSTC301``, and with autotuning on
+``FSTC601``/``FSTC603``), so an unbounded queue or a runaway
+exploration rate can not reach production; warnings are kept on
+``config_diagnostics``.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import contextlib
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, ReproError, SchedulerError
 from repro.machine.specs import DESKTOP, MachineSpec
@@ -72,17 +72,43 @@ from repro.serve.request import (
     Ticket,
 )
 from repro.serve.slo import ServiceMetrics
+from repro.staticcheck.diagnostics import (
+    Diagnostic,
+    make_diagnostic,
+    refuse_errors,
+)
+
+if TYPE_CHECKING:
+    from repro.autotune.tuner import TunerConfig
 
 __all__ = ["ServiceConfig", "ContractionService"]
+
+
+#: A request enters the degradation ladder when its remaining budget is
+#: below this multiple of its model-predicted cost floor.
+DEGRADE_MARGIN = 1.5
+
+#: How long an idle worker blocks on the queue before re-checking for
+#: shutdown.
+DRAIN_TIMEOUT_S = 0.05
+
+#: Autotune exploration is eligible only at or below this queue depth
+#: (exploring under pressure spends latency the backlog cannot afford).
+AUTOTUNE_MAX_QUEUE_DEPTH = 4
+
+#: Above this staleness threshold the density model prices the patch at
+#: most of a full recompute — incremental bookkeeping stops paying.
+MAX_SANE_STALENESS = 0.75
+
+#: A mutation-log bound above this is unbounded for practical purposes.
+MAX_SANE_LOG_MAXLEN = 1_000_000
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one :class:`ContractionService`.
 
-    ``degrade_margin`` scales the degradation trigger: a request enters
-    the ladder when its remaining budget is below ``degrade_margin *
-    cost_floor``.  ``force_degraded`` pins every request to the ladder
+    ``force_degraded`` pins every request to the degradation ladder
     regardless of budget — a test/bench knob for exercising the
     degraded paths deterministically.
 
@@ -99,17 +125,26 @@ class ServiceConfig:
     digest) compute it once.  The cache dies with the batch — nothing
     leaks between batches or workers.
 
-    ``autotune`` enables online bandit exploration
-    (:mod:`repro.autotune`): a bounded fraction
-    (``autotune_explore_rate``) of *eligible* requests — no deadline,
-    not degraded, queue depth at most ``autotune_max_queue_depth`` —
-    execute a challenger plan instead of the cached champion, and a
-    challenger that wins by ``autotune_promote_margin`` over
-    ``autotune_min_trials`` measured trials is promoted (with automatic
-    rollback on regression).  ``autotune_state_path`` persists the
-    learned state (measurements, champions, promotion history) across
-    restarts; leaving it unset relearns from scratch every process
-    (``FSTC602`` warns).
+    ``autotune`` is a :class:`~repro.autotune.TunerConfig` enabling
+    online bandit exploration (:mod:`repro.autotune`), or ``None``
+    (off): a bounded fraction (``explore_rate``) of *eligible* requests
+    — no deadline, not degraded, queue depth at most
+    :data:`AUTOTUNE_MAX_QUEUE_DEPTH` — execute a challenger plan
+    instead of the cached champion, and a challenger that wins by
+    ``promote_margin`` over ``min_trials`` measured trials is promoted
+    (with automatic rollback on regression).  Its ``state_path``
+    persists the learned state across restarts; leaving it unset
+    relearns from scratch every process (``FSTC602`` warns).
+
+    ``stream_staleness_threshold`` and ``stream_log_maxlen`` configure
+    the engine behind ``stream`` requests: the fraction of the modeled
+    full recompute below which a delta is serviced by tile patching,
+    and the per-stream mutation-log bound.
+
+    Values no consumer could use raise :class:`ConfigError` here;
+    values that are usable but unsafe to serve with are findings of
+    :meth:`diagnostics`, which :class:`ContractionService` refuses
+    (errors) or keeps (warnings).
     """
 
     queue_capacity: int = 64
@@ -117,23 +152,12 @@ class ServiceConfig:
     n_workers: int = 2
     max_batch: int = 8
     default_deadline_s: float | None = None
-    default_priority: int = 0
-    degrade_margin: float = 1.5
     force_degraded: bool = False
-    drain_timeout_s: float = 0.05
     plan_cache_size: int = 128
     operand_cache_size: int = 16
     backend: str = "numpy"
     cross_request_cse: bool = True
-    autotune: bool = False
-    autotune_explore_rate: float = 0.05
-    autotune_min_trials: int = 3
-    autotune_promote_margin: float = 0.10
-    autotune_state_path: str | None = None
-    autotune_max_queue_depth: int = 4
-    # Streaming (``stream`` request kind): fraction of the modeled full
-    # recompute below which a delta is serviced by tile patching, and
-    # the per-stream mutation-log bound.  Linted as FSTC703/FSTC704.
+    autotune: TunerConfig | None = None
     stream_staleness_threshold: float = 0.35
     stream_log_maxlen: int = 256
 
@@ -142,10 +166,16 @@ class ServiceConfig:
             raise ConfigError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        if self.degrade_margin < 0:
+        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ConfigError(
-                f"degrade_margin must be >= 0, got {self.degrade_margin}"
+                "default_deadline_s must be positive or None, got "
+                f"{self.default_deadline_s}"
             )
+        for name in ("plan_cache_size", "operand_cache_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         from repro.backends.registry import known_backends
 
         if self.backend != "auto" and self.backend not in known_backends():
@@ -153,6 +183,85 @@ class ServiceConfig:
                 f"backend must be 'auto' or one of {known_backends()}, "
                 f"got {self.backend!r}"
             )
+        # The stream engine is built on the first stream request; refuse
+        # the knobs it would refuse now, with the engine's own message.
+        from repro.streaming.engine import check_stream_knobs
+
+        check_stream_knobs(
+            self.stream_staleness_threshold, self.stream_log_maxlen
+        )
+
+    def diagnostics(
+        self, machine: MachineSpec, *, location: str = "service config"
+    ) -> list[Diagnostic]:
+        """``FSTC301``/``FSTC303``, the tuner's ``FSTC6xx`` and
+        ``FSTC703``/``FSTC704`` findings against ``machine``.
+
+        An unbounded or undrainable queue turns overload into unbounded
+        memory growth instead of shedding (``FSTC301``, error); a pool
+        wider than the machine's cores oversubscribes the CPU the cost
+        model was calibrated against (``FSTC303``).  A staleness
+        threshold above :data:`MAX_SANE_STALENESS` patches when a
+        recompute is nearly as cheap (``FSTC703``), and a log bound
+        above :data:`MAX_SANE_LOG_MAXLEN` is effectively unbounded
+        (``FSTC704``).
+        """
+        out: list[Diagnostic] = []
+        capacity = self.queue_capacity
+        if capacity is None or int(capacity) < 1:
+            out.append(make_diagnostic(
+                "FSTC301",
+                f"admission queue capacity {capacity!r} is unbounded or "
+                "non-positive; overload would grow the queue without limit",
+                hint="set queue_capacity to a positive bound sized for the "
+                     "acceptable queueing delay",
+                location=location,
+            ))
+        if self.n_workers < 1:
+            out.append(make_diagnostic(
+                "FSTC301",
+                f"worker pool size {self.n_workers} cannot drain the queue",
+                hint="use at least one worker",
+                location=location,
+            ))
+        if self.max_batch < 1:
+            out.append(make_diagnostic(
+                "FSTC301",
+                f"max_batch {self.max_batch} cannot form micro-batches",
+                hint="use max_batch >= 1",
+                location=location,
+            ))
+        if self.n_workers > machine.n_cores:
+            out.append(make_diagnostic(
+                "FSTC303",
+                f"{self.n_workers} workers oversubscribe {machine.name}'s "
+                f"{machine.n_cores} cores",
+                hint="size the pool at or below the core count the cost "
+                     "model was calibrated for",
+                location=location,
+            ))
+        if self.autotune is not None:
+            out += self.autotune.diagnostics(location=location)
+        threshold = self.stream_staleness_threshold
+        if threshold > MAX_SANE_STALENESS:
+            out.append(make_diagnostic(
+                "FSTC703",
+                f"staleness threshold {threshold} patches even when the "
+                "density model prices the patch at more than "
+                f"{MAX_SANE_STALENESS:.0%} of a full recompute",
+                hint=f"keep staleness_threshold at or below "
+                     f"{MAX_SANE_STALENESS}",
+                location=location,
+            ))
+        if self.stream_log_maxlen > MAX_SANE_LOG_MAXLEN:
+            out.append(make_diagnostic(
+                "FSTC704",
+                f"mutation-log bound {self.stream_log_maxlen} is "
+                f"effectively unbounded (> {MAX_SANE_LOG_MAXLEN})",
+                hint="bound the log to what replay/audit actually needs",
+                location=location,
+            ))
+        return out
 
 
 class ContractionService:
@@ -182,37 +291,11 @@ class ContractionService:
         runtime: ContractionRuntime | None = None,
         executor: NetworkExecutor | None = None,
     ):
-        from repro.staticcheck import (
-            has_errors,
-            lint_autotune_config,
-            lint_service_config,
-            lint_stream_config,
-        )
-
         self.machine = machine
         self.config = config if config is not None else ServiceConfig()
-        self.config_diagnostics = lint_service_config(self.config, machine)
-        self.config_diagnostics += lint_autotune_config(
-            self.config, location="service config"
+        self.config_diagnostics = refuse_errors(
+            self.config.diagnostics(machine), "service config"
         )
-        self.config_diagnostics += lint_stream_config(
-            self.config, location="service config"
-        )
-        if has_errors(self.config_diagnostics):
-            findings = "; ".join(
-                d.render() for d in self.config_diagnostics
-                if d.severity == "error"
-            )
-            raise ConfigError(f"refusing unsafe service config: {findings}")
-        # The stream engine is built on the first stream request; refuse
-        # the knobs it would refuse now, with the engine's own message.
-        from repro.streaming.engine import check_stream_knobs
-
-        check_stream_knobs(
-            self.config.stream_staleness_threshold,
-            self.config.stream_log_maxlen,
-        )
-
         self.runtime = runtime if runtime is not None else ContractionRuntime(
             machine=machine,
             cache_size=self.config.plan_cache_size,
@@ -223,15 +306,12 @@ class ContractionService:
             machine=machine, runtime=self.runtime
         )
         self.tuner = None
-        if self.config.autotune:
-            from repro.autotune import OnlineTuner, TunerConfig
+        if self.config.autotune is not None:
+            from repro.autotune import OnlineTuner
 
-            self.tuner = OnlineTuner(machine, TunerConfig(
-                explore_rate=self.config.autotune_explore_rate,
-                min_trials=self.config.autotune_min_trials,
-                promote_margin=self.config.autotune_promote_margin,
-                state_path=self.config.autotune_state_path,
-            )).attach(self.runtime)
+            self.tuner = OnlineTuner(
+                machine, self.config.autotune
+            ).attach(self.runtime)
         # Streaming engine, created on first stream request.  One lock
         # serializes all stream operations: deltas against one stream
         # are order-sensitive, and the engine's state is shared across
@@ -416,7 +496,7 @@ class ContractionService:
     def _worker_loop(self) -> None:
         while True:
             jobs = self.queue.drain(
-                self.config.max_batch, timeout=self.config.drain_timeout_s
+                self.config.max_batch, timeout=DRAIN_TIMEOUT_S
             )
             if jobs:
                 batch_cache = (
@@ -458,7 +538,7 @@ class ContractionService:
         if not degrade and job.deadline_at is not None:
             remaining = job.deadline_at - now
             degrade = (
-                remaining < self.config.degrade_margin * self._cost_floor(job)
+                remaining < DEGRADE_MARGIN * self._cost_floor(job)
             )
 
         # Exploration eligibility: never on degraded or deadline-carrying
@@ -469,7 +549,7 @@ class ContractionService:
             eligible = (
                 not degrade
                 and job.deadline_at is None
-                and self.queue.depth <= self.config.autotune_max_queue_depth
+                and self.queue.depth <= AUTOTUNE_MAX_QUEUE_DEPTH
             )
             bracket = self.tuner.serving(eligible=eligible)
 

@@ -95,7 +95,9 @@ def shard_main(spec: ShardSpec, inbox, outbox) -> None:
     )
     config = spec.service
     if spec.autotune_path is not None:
-        config = replace(config, autotune_state_path=spec.autotune_path)
+        config = replace(config, autotune=replace(
+            config.autotune, state_path=spec.autotune_path
+        ))
     service = ContractionService(
         machine=machine, config=config, runtime=runtime
     )

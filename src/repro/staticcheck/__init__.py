@@ -18,13 +18,18 @@ runs a kernel):
   optimizer-pass plan rewrites against re-derived dataflow facts (the
   :class:`~repro.network.passes.PassVerifier`'s engine).
 
+Configuration findings (``FSTC301``/``FSTC303``/``FSTC304``,
+``FSTC6xx``, ``FSTC703``/``FSTC704``) are methods of the configs they
+judge — ``ServiceConfig.diagnostics``, ``ShardedConfig.diagnostics``,
+``TunerConfig.diagnostics`` — and :func:`refuse_errors` is the gate the
+serving front ends apply to them at construction.
+
 The CLI front end is ``python -m repro check``; see
 ``docs/staticcheck.md`` for the code catalogue.
 """
 
 from repro.staticcheck.ast_lint import lint_file, lint_source, lint_tree
 from repro.staticcheck.audit import audit_case, audit_registry, case_problem
-from repro.staticcheck.autotune_lint import lint_autotune_config
 from repro.staticcheck.diagnostics import (
     CODES,
     Diagnostic,
@@ -32,6 +37,7 @@ from repro.staticcheck.diagnostics import (
     has_errors,
     make_diagnostic,
     max_exit_status,
+    refuse_errors,
     render_diagnostics,
 )
 from repro.staticcheck.expr_lint import (
@@ -57,13 +63,9 @@ from repro.staticcheck.registry_audit import audit_code_registry
 from repro.staticcheck.service_lint import (
     cost_floor_seconds,
     lint_request_deadline,
-    lint_service_config,
 )
-from repro.staticcheck.shard_lint import lint_ring_balance, lint_shard_config
-from repro.staticcheck.stream_lint import (
-    lint_dependency_tracker,
-    lint_stream_config,
-)
+from repro.staticcheck.shard_lint import lint_ring_balance
+from repro.staticcheck.stream_lint import lint_dependency_tracker
 
 __all__ = [
     "CODES",
@@ -81,7 +83,6 @@ __all__ = [
     "diagnostics_to_json",
     "has_errors",
     "hazards_for_stats",
-    "lint_autotune_config",
     "lint_dependency_tracker",
     "lint_expression",
     "lint_file",
@@ -89,14 +90,12 @@ __all__ = [
     "lint_problem",
     "lint_request_deadline",
     "lint_ring_balance",
-    "lint_service_config",
-    "lint_shard_config",
     "lint_source",
-    "lint_stream_config",
     "lint_tree",
     "make_diagnostic",
     "max_exit_status",
     "predict_plan",
+    "refuse_errors",
     "render_diagnostics",
     "self_test_passes",
     "verify_rewrite",

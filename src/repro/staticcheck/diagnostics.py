@@ -46,6 +46,7 @@ __all__ = [
     "INFO",
     "make_diagnostic",
     "has_errors",
+    "refuse_errors",
     "max_exit_status",
     "render_diagnostics",
     "diagnostics_to_json",
@@ -183,6 +184,21 @@ def make_diagnostic(
 def has_errors(diagnostics) -> bool:
     """True when any diagnostic carries ``error`` severity."""
     return any(d.severity == ERROR for d in diagnostics)
+
+
+def refuse_errors(diagnostics, what: str) -> list[Diagnostic]:
+    """Raise :class:`~repro.errors.ConfigError` naming every error
+    finding; otherwise return the (warning-only) findings unchanged.
+
+    The construction-time gate of the serving front ends: ``what``
+    names the refused object (``"service config"``).
+    """
+    from repro.errors import ConfigError
+
+    errors = [d.render() for d in diagnostics if d.severity == ERROR]
+    if errors:
+        raise ConfigError(f"refusing unsafe {what}: {'; '.join(errors)}")
+    return list(diagnostics)
 
 
 def max_exit_status(diagnostics) -> int:

@@ -1,15 +1,10 @@
-"""Service-configuration lints (``FSTC3xx``) and the request cost floor.
+"""The request cost floor and its deadline lint (``FSTC302``).
 
-The serving layer (:mod:`repro.serve`) has misconfigurations that are
-statically knowable, exactly like a contraction request's DNF regime:
-
-* an **unbounded admission queue** turns overload into unbounded memory
-  growth instead of shedding (``FSTC301``, error);
-* a **deadline below the model-predicted cost floor** can never be met
-  — the request will burn a worker slot and then time out anyway
-  (``FSTC302``, warning);
-* a **worker pool wider than the machine's cores** oversubscribes the
-  CPU the cost model was calibrated against (``FSTC303``, warning).
+A **deadline below the model-predicted cost floor** can never be met —
+the request will burn a worker slot and then time out anyway
+(``FSTC302``, warning).  The configuration findings of the same family
+(``FSTC301``/``FSTC303``) live on
+:meth:`repro.serve.ServiceConfig.diagnostics`.
 
 The cost floor is the same Section 5.1/5.3 arithmetic Algorithm 7 runs
 on: :func:`cost_floor_seconds` prices a pairwise request through
@@ -19,8 +14,8 @@ modeled total.  It is a *floor* in the model's units — an optimistic
 single-pass estimate — so a deadline under it is structurally hopeless,
 while a deadline above it may still be missed under load.
 
-These functions take duck-typed config/request objects (anything with
-the right attributes), so :mod:`repro.staticcheck` stays import-free of
+These functions take duck-typed request objects (anything with the
+right attributes), so :mod:`repro.staticcheck` stays import-free of
 :mod:`repro.serve` and the lint can run on plain stand-ins in tests.
 """
 
@@ -31,11 +26,7 @@ from repro.machine.cost_model import AccessCostModel, ProblemShape
 from repro.machine.specs import MachineSpec
 from repro.staticcheck.diagnostics import Diagnostic, make_diagnostic
 
-__all__ = [
-    "cost_floor_seconds",
-    "lint_service_config",
-    "lint_request_deadline",
-]
+__all__ = ["cost_floor_seconds", "lint_request_deadline"]
 
 
 def _pairwise_floor(
@@ -84,53 +75,6 @@ def cost_floor_seconds(request, machine: MachineSpec) -> float:
         return _network_floor(request.subscripts, request.operands, machine)
     except Exception:  # noqa: BLE001 - unpriceable requests have no floor
         return 0.0
-
-
-def lint_service_config(
-    config, machine: MachineSpec, *, location: str = "service config"
-) -> list[Diagnostic]:
-    """``FSTC301``/``FSTC303`` findings for one service configuration.
-
-    ``config`` is duck-typed (:class:`repro.serve.ServiceConfig` or a
-    stand-in) and must carry ``queue_capacity``, ``n_workers`` and
-    ``max_batch``.
-    """
-    out: list[Diagnostic] = []
-    capacity = getattr(config, "queue_capacity", None)
-    if capacity is None or int(capacity) < 1:
-        out.append(make_diagnostic(
-            "FSTC301",
-            f"admission queue capacity {capacity!r} is unbounded or "
-            "non-positive; overload would grow the queue without limit",
-            hint="set queue_capacity to a positive bound sized for the "
-                 "acceptable queueing delay",
-            location=location,
-        ))
-    n_workers = int(getattr(config, "n_workers", 1))
-    if n_workers < 1:
-        out.append(make_diagnostic(
-            "FSTC301",
-            f"worker pool size {n_workers} cannot drain the queue",
-            hint="use at least one worker",
-            location=location,
-        ))
-    if int(getattr(config, "max_batch", 1)) < 1:
-        out.append(make_diagnostic(
-            "FSTC301",
-            f"max_batch {config.max_batch} cannot form micro-batches",
-            hint="use max_batch >= 1",
-            location=location,
-        ))
-    if n_workers > machine.n_cores:
-        out.append(make_diagnostic(
-            "FSTC303",
-            f"{n_workers} workers oversubscribe {machine.name}'s "
-            f"{machine.n_cores} cores",
-            hint="size the pool at or below the core count the cost "
-                 "model was calibrated for",
-            location=location,
-        ))
-    return out
 
 
 def lint_request_deadline(

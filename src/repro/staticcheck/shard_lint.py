@@ -1,78 +1,26 @@
-"""Sharded-serving configuration lints (``FSTC304``/``FSTC305``).
+"""Sharded-serving ring-balance lint (``FSTC305``).
 
-The process-sharded router (:mod:`repro.serve.router`) adds two
-statically-knowable misconfigurations on top of the single-process
-``FSTC301``–``FSTC303`` family:
-
-* **host oversubscription** (``FSTC304``) — ``n_shards`` processes each
-  running ``n_workers`` threads of CPU-bound contraction work want
-  ``n_shards × n_workers`` cores; past ``os.cpu_count()`` the shards
-  time-slice against each other and per-shard latency inflates without
-  any throughput gain.  (``FSTC303`` covers one service against the
-  *modeled* machine; this lint covers the whole fleet against the
-  *actual* host.)
-* **pathological ring balance** (``FSTC305``) — consistent hashing is
-  only statistically fair.  For a *declared* signature set the split is
-  exactly computable before any load is offered: a shard owning zero
-  signatures is dead weight, and a shard owning far more than its fair
-  share caps the fleet's throughput at ``1 / max_share``.
-
-Both lints are duck-typed (any object with ``n_shards`` and a
-``service.n_workers``-shaped attribute works), keeping
-:mod:`repro.staticcheck` import-free of :mod:`repro.serve`.
+Consistent hashing is only statistically fair.  For a *declared*
+signature set the split the router's ring would produce is exactly
+computable before any load is offered: a shard owning zero signatures
+is dead weight, and a shard owning far more than its fair share caps
+the fleet's throughput at ``1 / max_share``.  (Host oversubscription,
+``FSTC304``, is a finding of
+:meth:`repro.serve.ShardedConfig.diagnostics`.)
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from repro.staticcheck.diagnostics import Diagnostic, make_diagnostic
 
-__all__ = ["lint_shard_config", "lint_ring_balance"]
+__all__ = ["lint_ring_balance"]
 
 #: A shard whose declared-signature share exceeds this multiple of fair
 #: share is reported: the fleet's scaling is capped at 1/share, so 2x
 #: fair share on 4 shards already halves the headroom.
 PATHOLOGICAL_SHARE = 2.0
-
-
-def _shard_workers(config) -> tuple[int, int]:
-    """(n_shards, per-shard workers) from a duck-typed sharded config."""
-    n_shards = int(getattr(config, "n_shards", 1))
-    service = getattr(config, "service", None)
-    n_workers = int(getattr(service, "n_workers", getattr(config, "n_workers", 1)))
-    return n_shards, n_workers
-
-
-def lint_shard_config(
-    config,
-    *,
-    cpu_count: int | None = None,
-    location: str = "sharded config",
-) -> list[Diagnostic]:
-    """``FSTC304`` findings for one sharded-router configuration.
-
-    ``cpu_count`` defaults to the live ``os.cpu_count()``; tests pass a
-    fixed value so findings do not depend on the host running the
-    suite.
-    """
-    out: list[Diagnostic] = []
-    n_shards, n_workers = _shard_workers(config)
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    total = n_shards * max(1, n_workers)
-    if n_shards > 1 and total > cpus:
-        out.append(make_diagnostic(
-            "FSTC304",
-            f"{n_shards} shards x {n_workers} workers want {total} cores "
-            f"but the host has {cpus}; shards will time-slice instead of "
-            "scaling",
-            hint="size n_shards * n_workers at or below os.cpu_count(), "
-                 "or accept latency inflation on an oversubscribed host",
-            location=location,
-            data={"n_shards": n_shards, "n_workers": n_workers, "cpus": cpus},
-        ))
-    return out
 
 
 def lint_ring_balance(

@@ -17,47 +17,16 @@ soundness properties load-bearing:
   the artifact sits stale between a bump and its refresh/unregister
   (``FSTC701``, error);
 
-plus two configuration checks:
-
-* a **staleness threshold** at or below zero never patches (streaming
-  degenerates to full recompute per delta), and one above the point
-  where the Section 5.1 density model prices a patch at most of a full
-  recompute buys little while compounding patch bookkeeping
-  (``FSTC703``, warning);
-* an **unbounded mutation log** grows without bound under sustained
-  writes — the log exists for replay/audit of *recent* deltas, and the
-  bounded deque with a compaction counter is the supported shape
-  (``FSTC704``, warning).
-
-Trackers and configs are duck-typed, like the ``FSTC3xx``/``FSTC6xx``
-lints: anything with ``stale_ids()``/``artifacts()`` lints as a
-tracker; anything carrying ``staleness_threshold``/``log_maxlen`` (or
-the ``stream_``-prefixed spellings used by
-:class:`repro.serve.ServiceConfig`) lints as a config.
+The tracker is duck-typed: anything with ``artifacts()`` lints as one.
+The configuration findings of the same family (``FSTC703``/``FSTC704``)
+live on :meth:`repro.serve.ServiceConfig.diagnostics`.
 """
 
 from __future__ import annotations
 
 from repro.staticcheck.diagnostics import Diagnostic, make_diagnostic
 
-__all__ = ["lint_dependency_tracker", "lint_stream_config"]
-
-#: Above this threshold the density model prices the patch at most of a
-#: full recompute — incremental bookkeeping stops paying for itself.
-MAX_SANE_STALENESS = 0.75
-
-#: A mutation-log bound above this is unbounded for practical purposes.
-MAX_SANE_LOG_MAXLEN = 1_000_000
-
-_MISSING = object()
-
-
-def _knob(config, name: str, default):
-    """Read a knob under either its bare or ``stream_``-prefixed name."""
-    value = getattr(config, name, _MISSING)
-    if value is _MISSING:
-        value = getattr(config, f"stream_{name}", _MISSING)
-    return default if value is _MISSING else value
+__all__ = ["lint_dependency_tracker"]
 
 
 def lint_dependency_tracker(
@@ -93,61 +62,5 @@ def lint_dependency_tracker(
                 hint="refresh(artifact_id) after recomputing it, or "
                      "unregister(artifact_id) to retire it",
                 location=where,
-            ))
-    return out
-
-
-def lint_stream_config(
-    config, *, location: str = "stream config"
-) -> list[Diagnostic]:
-    """``FSTC703``/``FSTC704`` findings for one streaming configuration.
-
-    ``config`` is duck-typed: an :class:`repro.streaming.IncrementalEngine`,
-    a :class:`repro.serve.ServiceConfig` (``stream_*`` fields), or any
-    stand-in carrying the knobs.
-    """
-    out: list[Diagnostic] = []
-
-    threshold = _knob(config, "staleness_threshold", None)
-    if threshold is not None:
-        threshold = float(threshold)
-        if threshold <= 0.0:
-            out.append(make_diagnostic(
-                "FSTC703",
-                f"staleness threshold {threshold} never takes the "
-                "incremental path; every delta pays a full recompute",
-                hint="set staleness_threshold in (0, "
-                     f"{MAX_SANE_STALENESS}]",
-                location=location,
-            ))
-        elif threshold > MAX_SANE_STALENESS:
-            out.append(make_diagnostic(
-                "FSTC703",
-                f"staleness threshold {threshold} patches even when the "
-                "density model prices the patch at more than "
-                f"{MAX_SANE_STALENESS:.0%} of a full recompute",
-                hint=f"keep staleness_threshold at or below "
-                     f"{MAX_SANE_STALENESS}",
-                location=location,
-            ))
-
-    maxlen = _knob(config, "log_maxlen", None)
-    if maxlen is not None:
-        if maxlen is not True and int(maxlen) <= 0:
-            out.append(make_diagnostic(
-                "FSTC704",
-                f"mutation-log bound {maxlen} disables the log bound; "
-                "sustained writes grow the log without limit",
-                hint="use a positive log_maxlen (the engine compacts "
-                     "older deltas and counts them)",
-                location=location,
-            ))
-        elif int(maxlen) > MAX_SANE_LOG_MAXLEN:
-            out.append(make_diagnostic(
-                "FSTC704",
-                f"mutation-log bound {maxlen} is effectively unbounded "
-                f"(> {MAX_SANE_LOG_MAXLEN})",
-                hint="bound the log to what replay/audit actually needs",
-                location=location,
             ))
     return out

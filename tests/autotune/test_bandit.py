@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.autotune.bandit import BanditConfig, BanditPolicy
+from repro.autotune.bandit import BanditPolicy
 from repro.autotune.measurements import ArmStats
+from repro.autotune.tuner import TunerConfig
 from repro.errors import ConfigError
 
 
@@ -16,22 +17,22 @@ def arm(count, mean, recent=None):
 class TestConfig:
     def test_rate_range_enforced(self):
         with pytest.raises(ConfigError):
-            BanditConfig(explore_rate=1.5)
+            TunerConfig(explore_rate=1.5)
         with pytest.raises(ConfigError):
-            BanditConfig(explore_rate=-0.1)
+            TunerConfig(explore_rate=-0.1)
 
     def test_trials_and_margins_enforced(self):
         with pytest.raises(ConfigError):
-            BanditConfig(min_trials=0)
+            TunerConfig(min_trials=0)
         with pytest.raises(ConfigError):
-            BanditConfig(promote_margin=-0.1)
+            TunerConfig(promote_margin=-0.1)
         with pytest.raises(ConfigError):
-            BanditConfig(cooldown=-1)
+            TunerConfig(cooldown=-1)
 
 
 class TestExplorationBudget:
     def test_realized_rate_tracks_budget(self):
-        policy = BanditPolicy(BanditConfig(explore_rate=0.10, seed=3))
+        policy = BanditPolicy(TunerConfig(explore_rate=0.10, seed=3))
         stats = {"a": arm(5, 1.0), "b": arm(5, 2.0)}
         explored = sum(
             policy.pick("s", ["a", "b"], stats) is not None
@@ -42,20 +43,20 @@ class TestExplorationBudget:
         assert 0.06 <= explored / 2000 <= 0.10
 
     def test_zero_rate_never_explores(self):
-        policy = BanditPolicy(BanditConfig(explore_rate=0.0))
+        policy = BanditPolicy(TunerConfig(explore_rate=0.0))
         stats = {"a": arm(5, 1.0)}
         assert all(
             policy.pick("s", ["a"], stats) is None for _ in range(100)
         )
 
     def test_no_challengers_no_exploration(self):
-        policy = BanditPolicy(BanditConfig(explore_rate=1.0))
+        policy = BanditPolicy(TunerConfig(explore_rate=1.0))
         assert policy.pick("s", [], {}) is None
 
     def test_fair_hearing_before_best_mean(self):
         # Arm "b" is below the trials floor -> it must be tried before
         # the established best-mean arm "a".
-        policy = BanditPolicy(BanditConfig(explore_rate=1.0, min_trials=3))
+        policy = BanditPolicy(TunerConfig(explore_rate=1.0, min_trials=3))
         stats = {"a": arm(10, 0.5), "b": arm(1, 0.1)}
         picks = {
             policy.pick("s", ["a", "b"], stats)
@@ -64,7 +65,7 @@ class TestExplorationBudget:
         assert picks == {"b"}
 
     def test_best_mean_after_floor(self):
-        policy = BanditPolicy(BanditConfig(explore_rate=1.0, min_trials=2))
+        policy = BanditPolicy(TunerConfig(explore_rate=1.0, min_trials=2))
         stats = {"a": arm(5, 0.5), "b": arm(5, 0.2)}
         picks = {
             policy.pick("s", ["a", "b"], stats) for _ in range(50)
@@ -74,17 +75,17 @@ class TestExplorationBudget:
 
 class TestPromotion:
     def test_needs_champion_trials(self):
-        policy = BanditPolicy(BanditConfig(min_trials=3))
+        policy = BanditPolicy(TunerConfig(min_trials=3))
         stats = {"model": arm(1, 1.0), "ch": arm(5, 0.1)}
         assert not policy.promotion("s", "model", ["ch"], stats).promote
 
     def test_needs_challenger_trials(self):
-        policy = BanditPolicy(BanditConfig(min_trials=3))
+        policy = BanditPolicy(TunerConfig(min_trials=3))
         stats = {"model": arm(5, 1.0), "ch": arm(2, 0.1)}
         assert not policy.promotion("s", "model", ["ch"], stats).promote
 
     def test_margin_gate(self):
-        policy = BanditPolicy(BanditConfig(min_trials=2, promote_margin=0.10))
+        policy = BanditPolicy(TunerConfig(min_trials=2, promote_margin=0.10))
         stats = {"model": arm(5, 1.0), "ch": arm(5, 0.95)}
         assert not policy.promotion("s", "model", ["ch"], stats).promote
         stats["ch"] = arm(5, 0.80)
@@ -93,15 +94,15 @@ class TestPromotion:
         assert decision.improvement == pytest.approx(0.20)
 
     def test_best_challenger_wins(self):
-        policy = BanditPolicy(BanditConfig(min_trials=2, promote_margin=0.10))
+        policy = BanditPolicy(TunerConfig(min_trials=2, promote_margin=0.10))
         stats = {"model": arm(5, 1.0), "a": arm(5, 0.6), "b": arm(5, 0.4)}
         assert policy.promotion("s", "model", ["a", "b"], stats).arm_id == "b"
 
     def test_cooldown_blocks_repromotion(self):
         # A demoted arm's lifetime mean still looks great; the cooldown
         # must keep it out of promotion or promote/rollback oscillates.
-        policy = BanditPolicy(BanditConfig(min_trials=2, promote_margin=0.10,
-                                           cooldown=16))
+        policy = BanditPolicy(TunerConfig(min_trials=2, promote_margin=0.10,
+                                          cooldown=16))
         stats = {"model": arm(5, 1.0), "ch": arm(8, 0.3)}
         policy.note_cooldown("s", "ch")
         assert not policy.promotion("s", "model", ["ch"], stats).promote
@@ -112,21 +113,21 @@ class TestPromotion:
 
 class TestRollback:
     def test_regression_detected_in_trailing_window(self):
-        policy = BanditPolicy(BanditConfig(min_trials=2, rollback_margin=0.25))
+        policy = BanditPolicy(TunerConfig(min_trials=2, rollback_margin=0.25))
         promoted = arm(20, 0.5, recent=[2.0, 2.0, 2.0])
         assert policy.should_rollback(promoted, baseline_mean=1.0)
 
     def test_healthy_promotion_not_rolled_back(self):
-        policy = BanditPolicy(BanditConfig(min_trials=2, rollback_margin=0.25))
+        policy = BanditPolicy(TunerConfig(min_trials=2, rollback_margin=0.25))
         promoted = arm(20, 0.5, recent=[0.5, 0.6, 0.5])
         assert not policy.should_rollback(promoted, baseline_mean=1.0)
 
     def test_needs_recent_samples(self):
-        policy = BanditPolicy(BanditConfig(min_trials=3, rollback_margin=0.25))
+        policy = BanditPolicy(TunerConfig(min_trials=3, rollback_margin=0.25))
         promoted = arm(20, 0.5, recent=[9.0])
         assert not policy.should_rollback(promoted, baseline_mean=1.0)
 
     def test_no_stats_or_baseline_is_noop(self):
-        policy = BanditPolicy()
+        policy = BanditPolicy(TunerConfig())
         assert not policy.should_rollback(None, baseline_mean=1.0)
         assert not policy.should_rollback(arm(5, 2.0), baseline_mean=0.0)

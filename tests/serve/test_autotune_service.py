@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import contract
+from repro.autotune import TunerConfig
 from repro.data.random_tensors import random_coo
 from repro.errors import ConfigError
 from repro.machine.specs import DESKTOP
@@ -21,14 +22,14 @@ def operands():
 
 
 def tuned_config(tmp_path, **overrides):
-    defaults = dict(
-        queue_capacity=16, n_workers=1,
-        autotune=True, autotune_explore_rate=0.5,
-        autotune_min_trials=2, autotune_promote_margin=0.05,
-        autotune_state_path=str(tmp_path / "autotune.json"),
+    knobs = dict(
+        explore_rate=0.5, min_trials=2, promote_margin=0.05,
+        state_path=str(tmp_path / "autotune.json"),
     )
-    defaults.update(overrides)
-    return ServiceConfig(**defaults)
+    knobs.update(overrides)
+    return ServiceConfig(
+        queue_capacity=16, n_workers=1, autotune=TunerConfig(**knobs)
+    )
 
 
 class TestConfigGates:
@@ -36,20 +37,20 @@ class TestConfigGates:
         with pytest.raises(ConfigError, match="FSTC601"):
             ContractionService(
                 machine=DESKTOP,
-                config=tuned_config(tmp_path, autotune_explore_rate=0.9),
+                config=tuned_config(tmp_path, explore_rate=0.9),
             )
 
     def test_zero_promote_margin_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="FSTC603"):
             ContractionService(
                 machine=DESKTOP,
-                config=tuned_config(tmp_path, autotune_promote_margin=0.0),
+                config=tuned_config(tmp_path, promote_margin=0.0),
             )
 
     def test_unpersisted_state_is_a_kept_warning(self, tmp_path):
         service = ContractionService(
             machine=DESKTOP,
-            config=tuned_config(tmp_path, autotune_state_path=None),
+            config=tuned_config(tmp_path, state_path=None),
         )
         codes = [d.code for d in service.config_diagnostics]
         assert "FSTC602" in codes
@@ -91,7 +92,7 @@ class TestExplorationUnderTraffic:
         a, b = operands
         with ContractionService(
             machine=DESKTOP,
-            config=tuned_config(tmp_path, autotune_explore_rate=0.5),
+            config=tuned_config(tmp_path, explore_rate=0.5),
         ) as service:
             for _ in range(10):
                 service.call(

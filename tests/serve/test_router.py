@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import contract
+from repro.autotune import TunerConfig
 from repro.errors import ConfigError, SchedulerError
 from repro.machine.specs import DESKTOP
 from repro.serve import (
@@ -201,6 +202,27 @@ class TestConfigValidation:
         assert any(
             d.code == "FSTC304" for d in router.config_diagnostics
         )
+
+    def test_unsafe_service_config_is_refused_before_any_spawn(self):
+        # The shards would refuse this service config (FSTC301) and die;
+        # the router must refuse it at construction, not time out on a
+        # dead fleet in start().
+        config = small_config(service=ServiceConfig(queue_capacity=0))
+        with pytest.raises(ConfigError, match="FSTC301"):
+            ShardRouter(machine=DESKTOP, config=config)
+
+    def test_cache_dir_silences_unpersisted_autotune_state(self, tmp_path):
+        service = ServiceConfig(
+            queue_capacity=8, n_workers=1, autotune=TunerConfig()
+        )
+        bare = ShardRouter(machine=DESKTOP, config=small_config(
+            service=service
+        ))  # never started
+        assert "FSTC602" in [d.code for d in bare.config_diagnostics]
+        cached = ShardRouter(machine=DESKTOP, config=small_config(
+            service=service, cache_dir=str(tmp_path)
+        ))
+        assert "FSTC602" not in [d.code for d in cached.config_diagnostics]
 
 
 class TestInterruptSafety:

@@ -1,10 +1,16 @@
 """Integration tests for ContractionService: correctness, overload,
 degradation, affinity batching."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import contract
+from repro.autotune import TunerConfig
 from repro.data.random_tensors import random_coo
 from repro.errors import ConfigError, SchedulerError
 from repro.machine.specs import DESKTOP
@@ -15,6 +21,7 @@ from repro.serve import (
     ContractionService,
     Request,
     ServiceConfig,
+    ShardedConfig,
     synthetic_requests,
 )
 
@@ -279,6 +286,20 @@ class TestLifecycleAndConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(policy="drop_everything")
 
+    @pytest.mark.parametrize("knobs", [
+        {"default_deadline_s": 0.0},
+        {"default_deadline_s": -1.0},
+        {"plan_cache_size": 0},
+        {"operand_cache_size": 0},
+    ], ids=["zero-deadline", "negative-deadline", "zero-plan-cache",
+            "zero-operand-cache"])
+    def test_unusable_values_are_refused(self, knobs):
+        # Each would otherwise fail later: a non-positive default deadline
+        # times out every request, and a zero cache size raises deep in
+        # the runtime's constructor.
+        with pytest.raises(ConfigError):
+            ServiceConfig(**knobs)
+
     def test_submit_before_start_raises(self, operands):
         a, b = operands
         service = small_service()
@@ -302,3 +323,34 @@ class TestLifecycleAndConfig:
             assert key in doc
         assert doc["completed"] == 1
         assert doc["queue"]["capacity"] == 16
+
+
+def test_every_config_field_is_read():
+    """Every field of the serving configs is read somewhere in the
+    library outside its own class body.
+
+    A field nothing reads is a knob that does nothing: setting it
+    changes no behaviour.  Reads are matched by attribute name, so the
+    guard catches fields no code touches at all.
+    """
+    configs = (ServiceConfig, ShardedConfig, TunerConfig)
+    names = {c.__name__ for c in configs}
+    reads: set[tuple[str, str | None]] = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            owner = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    unread = [
+        f"{c.__name__}.{f.name}"
+        for c in configs
+        for f in fields(c)
+        if not any(a == f.name and o != c.__name__ for a, o in reads)
+    ]
+    assert unread == []

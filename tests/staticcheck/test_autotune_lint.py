@@ -1,23 +1,21 @@
-"""Unit tests for the FSTC6xx autotune-configuration lints."""
-
-from types import SimpleNamespace
+"""Unit tests for the FSTC6xx findings of ``TunerConfig.diagnostics``."""
 
 import pytest
 
 from repro.autotune import TunerConfig
-from repro.staticcheck import has_errors, lint_autotune_config
+from repro.machine.specs import DESKTOP
+from repro.serve import ServiceConfig
+from repro.staticcheck import has_errors
 from repro.staticcheck.diagnostics import CODES
 
 
-def config(**overrides) -> SimpleNamespace:
-    # Duck-typed like the FSTC3xx lints: a plain namespace is the
-    # documented stand-in for TunerConfig / ServiceConfig.
+def config(**overrides) -> TunerConfig:
     base = dict(
         explore_rate=0.1, min_trials=3, promote_margin=0.05,
         state_path="/tmp/state.json",
     )
     base.update(overrides)
-    return SimpleNamespace(**base)
+    return TunerConfig(**base)
 
 
 def codes(findings):
@@ -34,72 +32,70 @@ class TestRegistry:
 
 class TestExploreRate:
     def test_clean_config_has_no_findings(self):
-        assert lint_autotune_config(config()) == []
+        assert config().diagnostics() == []
 
-    @pytest.mark.parametrize("rate", [0.0, -0.5])
+    @pytest.mark.parametrize("rate", [0.0])
     def test_non_positive_rate_is_an_error(self, rate):
-        findings = lint_autotune_config(config(explore_rate=rate))
+        # Negative rates never get this far: TunerConfig refuses them.
+        findings = config(explore_rate=rate).diagnostics()
         assert codes(findings) == ["FSTC601"]
         assert has_errors(findings)
         assert "never explore" in findings[0].message
 
     def test_excessive_rate_is_an_error(self):
-        findings = lint_autotune_config(config(explore_rate=0.75))
+        findings = config(explore_rate=0.75).diagnostics()
         assert codes(findings) == ["FSTC601"]
         assert "workload" in findings[0].message
 
     def test_half_rate_is_the_boundary(self):
-        assert lint_autotune_config(config(explore_rate=0.5)) == []
+        assert config(explore_rate=0.5).diagnostics() == []
 
 
 class TestPersistenceAndGates:
     def test_unpersisted_state_warns(self):
-        findings = lint_autotune_config(config(state_path=None))
+        findings = config(state_path=None).diagnostics()
         assert codes(findings) == ["FSTC602"]
         assert not has_errors(findings)
 
     def test_zero_margin_is_an_error(self):
-        findings = lint_autotune_config(config(promote_margin=0.0))
+        findings = config(promote_margin=0.0).diagnostics()
         assert codes(findings) == ["FSTC603"]
         assert has_errors(findings)
 
     def test_low_trials_floor_warns(self):
-        findings = lint_autotune_config(config(min_trials=1))
+        findings = config(min_trials=1).diagnostics()
         assert codes(findings) == ["FSTC604"]
         assert not has_errors(findings)
 
     def test_everything_wrong_fires_everything(self):
-        findings = lint_autotune_config(config(
+        findings = config(
             explore_rate=0.9, state_path=None,
-            promote_margin=-0.1, min_trials=0,
-        ))
+            promote_margin=0.0, min_trials=1,
+        ).diagnostics()
         assert codes(findings) == [
             "FSTC601", "FSTC602", "FSTC603", "FSTC604",
         ]
 
 
 class TestDuckTyping:
-    def test_disabled_tuner_lints_clean(self):
-        bad = config(autotune=False, explore_rate=5.0, state_path=None)
-        assert lint_autotune_config(bad) == []
+    """How the tuner's findings reach the service config that nests it
+    (the class keeps its name from when the lint read stand-ins)."""
 
-    def test_prefixed_spellings_are_read(self):
-        # ServiceConfig carries autotune_-prefixed knobs.
-        service_like = SimpleNamespace(
-            autotune=True, autotune_explore_rate=0.9,
-            autotune_state_path=None, autotune_promote_margin=0.05,
-            autotune_min_trials=3,
-        )
-        assert codes(lint_autotune_config(service_like)) == [
-            "FSTC601", "FSTC602",
-        ]
+    def test_disabled_tuner_lints_clean(self):
+        # autotune=None is "off": a disabled tuner has no unsafe knobs.
+        findings = ServiceConfig(autotune=None).diagnostics(DESKTOP)
+        assert not [d for d in findings if d.code.startswith("FSTC6")]
 
     def test_real_tuner_config_lints_clean(self, tmp_path):
         cfg = TunerConfig(state_path=str(tmp_path / "s.json"))
-        assert lint_autotune_config(cfg) == []
+        assert cfg.diagnostics() == []
+        assert ServiceConfig(autotune=cfg).diagnostics(DESKTOP) == []
 
     def test_location_is_threaded_through(self):
-        findings = lint_autotune_config(
-            config(state_path=None), location="service config"
+        findings = config(state_path=None).diagnostics(
+            location="service config"
         )
         assert findings[0].location == "service config"
+        nested = ServiceConfig(autotune=config(state_path=None))
+        assert codes(nested.diagnostics(DESKTOP)) == ["FSTC602"]
+        assert nested.diagnostics(DESKTOP)[0].location == "service config"

@@ -1,4 +1,4 @@
-"""Unit tests for the FSTC3xx service-configuration lints."""
+"""Unit tests for the FSTC3xx service findings and the cost floor."""
 
 from types import SimpleNamespace
 
@@ -6,20 +6,15 @@ import pytest
 
 from repro.data.random_tensors import random_coo
 from repro.machine.specs import DESKTOP
-from repro.staticcheck import (
-    cost_floor_seconds,
-    lint_request_deadline,
-    lint_service_config,
-)
+from repro.serve import ServiceConfig
+from repro.staticcheck import cost_floor_seconds, lint_request_deadline
 from repro.staticcheck.diagnostics import CODES
 
 
-def config(**overrides) -> SimpleNamespace:
-    # The lint is duck-typed so staticcheck never imports repro.serve;
-    # a plain namespace is the documented stand-in.
+def config(**overrides) -> ServiceConfig:
     base = dict(queue_capacity=16, n_workers=2, max_batch=8)
     base.update(overrides)
-    return SimpleNamespace(**base)
+    return ServiceConfig(**base)
 
 
 @pytest.fixture
@@ -51,34 +46,30 @@ class TestRegistry:
 
 class TestConfigLint:
     def test_clean_config_has_no_findings(self):
-        assert lint_service_config(config(), DESKTOP) == []
+        assert config().diagnostics(DESKTOP) == []
 
     @pytest.mark.parametrize("capacity", [None, 0, -1])
     def test_unbounded_queue_is_an_error(self, capacity):
-        findings = lint_service_config(
-            config(queue_capacity=capacity), DESKTOP
-        )
+        findings = config(queue_capacity=capacity).diagnostics(DESKTOP)
         assert [d.code for d in findings] == ["FSTC301"]
         assert findings[0].severity == "error"
 
     def test_zero_workers_is_an_error(self):
-        findings = lint_service_config(config(n_workers=0), DESKTOP)
+        findings = config(n_workers=0).diagnostics(DESKTOP)
         assert [d.code for d in findings] == ["FSTC301"]
 
     def test_zero_batch_is_an_error(self):
-        findings = lint_service_config(config(max_batch=0), DESKTOP)
+        findings = config(max_batch=0).diagnostics(DESKTOP)
         assert [d.code for d in findings] == ["FSTC301"]
 
     def test_oversubscribed_pool_warns(self):
-        findings = lint_service_config(
-            config(n_workers=DESKTOP.n_cores + 1), DESKTOP
-        )
+        findings = config(n_workers=DESKTOP.n_cores + 1).diagnostics(DESKTOP)
         assert [d.code for d in findings] == ["FSTC303"]
         assert findings[0].severity == "warning"
 
     def test_location_is_threaded_through(self):
-        findings = lint_service_config(
-            config(queue_capacity=0), DESKTOP, location="svc A"
+        findings = config(queue_capacity=0).diagnostics(
+            DESKTOP, location="svc A"
         )
         assert findings[0].location == "svc A"
 

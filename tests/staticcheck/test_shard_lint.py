@@ -1,9 +1,9 @@
-"""Unit tests for the sharded-serving lints (FSTC304/FSTC305)."""
+"""Unit tests for the sharded-serving findings (FSTC304/FSTC305)."""
 
-from types import SimpleNamespace
-
+from repro.autotune import TunerConfig
+from repro.machine.specs import DESKTOP
 from repro.serve import ServiceConfig, ShardedConfig
-from repro.staticcheck import lint_ring_balance, lint_shard_config
+from repro.staticcheck import lint_ring_balance
 
 
 def codes(diagnostics):
@@ -15,7 +15,7 @@ class TestShardConfigLint:
         config = ShardedConfig(
             n_shards=4, service=ServiceConfig(n_workers=2)
         )
-        out = lint_shard_config(config, cpu_count=4)
+        out = config.diagnostics(DESKTOP, cpu_count=4)
         assert codes(out) == ["FSTC304"]
         assert out[0].severity == "warning"
         assert out[0].data == {"n_shards": 4, "n_workers": 2, "cpus": 4}
@@ -24,20 +24,29 @@ class TestShardConfigLint:
         config = ShardedConfig(
             n_shards=4, service=ServiceConfig(n_workers=2)
         )
-        assert lint_shard_config(config, cpu_count=8) == []
+        assert config.diagnostics(DESKTOP, cpu_count=8) == []
 
     def test_single_shard_never_flagged(self):
         # One shard is the unsharded regime; FSTC303 owns that story.
         config = ShardedConfig(
             n_shards=1, service=ServiceConfig(n_workers=16)
         )
-        assert lint_shard_config(config, cpu_count=1) == []
+        assert "FSTC304" not in codes(config.diagnostics(DESKTOP, cpu_count=1))
 
-    def test_duck_typed_config(self):
-        fake = SimpleNamespace(
-            n_shards=3, service=SimpleNamespace(n_workers=3)
+    def test_service_findings_are_included(self):
+        config = ShardedConfig(
+            n_shards=2, service=ServiceConfig(queue_capacity=0)
         )
-        assert codes(lint_shard_config(fake, cpu_count=4)) == ["FSTC304"]
+        assert codes(config.diagnostics(DESKTOP, cpu_count=8)) == ["FSTC301"]
+
+    def test_cache_dir_supplies_the_autotune_state(self, tmp_path):
+        service = ServiceConfig(autotune=TunerConfig(state_path=None))
+        bare = ShardedConfig(n_shards=2, service=service)
+        assert codes(bare.diagnostics(DESKTOP, cpu_count=8)) == ["FSTC602"]
+        cached = ShardedConfig(
+            n_shards=2, service=service, cache_dir=str(tmp_path)
+        )
+        assert cached.diagnostics(DESKTOP, cpu_count=8) == []
 
 
 class TestRingBalanceLint:

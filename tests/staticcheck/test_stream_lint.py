@@ -2,11 +2,12 @@
 
 from types import SimpleNamespace
 
-from repro.staticcheck import (
-    audit_code_registry,
-    lint_dependency_tracker,
-    lint_stream_config,
-)
+import pytest
+
+from repro.errors import ConfigError
+from repro.machine.specs import DESKTOP
+from repro.serve import ServiceConfig
+from repro.staticcheck import audit_code_registry, lint_dependency_tracker
 from repro.staticcheck.diagnostics import CODES
 from repro.streaming import DependencyTracker, IncrementalEngine
 
@@ -15,9 +16,8 @@ def codes(findings):
     return sorted(d.code for d in findings)
 
 
-def config(**knobs) -> SimpleNamespace:
-    # Duck-typed stand-in, like the FSTC3xx/FSTC6xx lint tests.
-    return SimpleNamespace(**knobs)
+def config(**knobs) -> ServiceConfig:
+    return ServiceConfig(**knobs)
 
 
 class TestTrackerLint:
@@ -67,40 +67,37 @@ class TestTrackerLint:
 
 
 class TestConfigLint:
+    """FSTC703/FSTC704 are findings of ``ServiceConfig.diagnostics``;
+    knobs outside the engine's range never get that far (the config
+    refuses them, with the engine's message)."""
+
     def test_sane_config_is_clean(self):
-        assert lint_stream_config(
-            config(staleness_threshold=0.35, log_maxlen=256)
-        ) == []
+        assert config(
+            stream_staleness_threshold=0.35, stream_log_maxlen=256
+        ).diagnostics(DESKTOP) == []
 
     def test_absent_knobs_are_clean(self):
-        assert lint_stream_config(config(unrelated=1)) == []
+        # Knobs left unset take the service defaults.
+        assert config().diagnostics(DESKTOP) == []
 
-    def test_zero_threshold_is_fstc703(self):
-        findings = lint_stream_config(config(staleness_threshold=0.0))
+    def test_oversized_threshold_is_fstc703(self):
+        findings = config(stream_staleness_threshold=0.9).diagnostics(DESKTOP)
         assert codes(findings) == ["FSTC703"]
         assert CODES["FSTC703"][0] == "warning"
 
-    def test_oversized_threshold_is_fstc703(self):
-        findings = lint_stream_config(config(staleness_threshold=0.9))
-        assert codes(findings) == ["FSTC703"]
-
     def test_unbounded_log_is_fstc704(self):
-        findings = lint_stream_config(config(log_maxlen=0))
+        findings = config(stream_log_maxlen=10_000_000).diagnostics(DESKTOP)
         assert codes(findings) == ["FSTC704"]
         assert CODES["FSTC704"][0] == "warning"
-        findings = lint_stream_config(config(log_maxlen=10_000_000))
-        assert codes(findings) == ["FSTC704"]
-
-    def test_stream_prefixed_knobs_are_read(self):
-        # ServiceConfig spells the knobs stream_staleness_threshold /
-        # stream_log_maxlen; the lint accepts both spellings.
-        findings = lint_stream_config(
-            config(stream_staleness_threshold=2.0, stream_log_maxlen=-1)
-        )
-        assert codes(findings) == ["FSTC703", "FSTC704"]
+        with pytest.raises(ConfigError, match="log_maxlen must be >= 1"):
+            config(stream_log_maxlen=0)
 
     def test_engine_defaults_lint_clean(self):
-        assert lint_stream_config(IncrementalEngine()) == []
+        engine = IncrementalEngine()
+        assert config(
+            stream_staleness_threshold=engine.staleness_threshold,
+            stream_log_maxlen=engine.log_maxlen,
+        ).diagnostics(DESKTOP) == []
 
 
 class TestRegistry:

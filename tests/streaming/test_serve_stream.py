@@ -76,9 +76,9 @@ class TestServiceStreamConfig:
     ])
     def test_engine_refusals_refuse_construction(self, knobs, message):
         # The engine is built lazily on the first stream request; a knob
-        # it would refuse must fail the service up front instead.
+        # it would refuse must fail the config up front instead.
         with pytest.raises(ConfigError, match=message):
-            ContractionService(DESKTOP, ServiceConfig(**knobs))
+            ServiceConfig(**knobs)
 
 
 class TestServiceStream:
